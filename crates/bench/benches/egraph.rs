@@ -51,7 +51,7 @@ fn bench_ematching(c: &mut Criterion) {
 /// guards pushed into the match loop (`ematch_guarded_*`, what
 /// `Rewrite::search` runs in production — dead bindings are pruned by
 /// `Instruction::Guard` before deeper binds fan out) versus the parallel
-/// sharded driver ([`tensat_egraph::search_all_parallel`] with 4 threads,
+/// sharded driver ([`tensat_egraph::search_all`] with 4 threads,
 /// bit-identical match lists) versus the legacy recursive matcher kept as
 /// the differential-testing oracle ([`tensat_egraph::Pattern::search_naive`]).
 /// The e-graph is grown by two exploration iterations first so classes hold
@@ -108,9 +108,12 @@ fn bench_machine_vs_naive_on_models(c: &mut Criterion) {
             })
         });
         c.bench_function(&format!("ematch_parallel_{model}"), |b| {
-            let searchers: Vec<_> = rules.iter().map(|r| &r.searcher).collect();
+            let queries: Vec<_> = rules
+                .iter()
+                .map(|r| (r.searcher.program(), &[] as &[_]))
+                .collect();
             b.iter(|| {
-                let total: usize = tensat_egraph::search_all_parallel(&searchers, &eg, 4)
+                let total: usize = tensat_egraph::search_all(&queries, &eg, 0, 4)
                     .iter()
                     .flat_map(|ms| ms.iter().map(|m| m.substs.len()))
                     .sum();

@@ -11,7 +11,7 @@
 use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
-use tensat_core::{CycleFilter, ExtractionMode, Optimizer, OptimizerConfig};
+use tensat_core::{CycleFilter, ExplorationConfig, ExtractionMode, Optimizer, OptimizerConfig};
 use tensat_models::ModelScale;
 use tensat_taso::{BacktrackingConfig, BacktrackingSearch};
 
@@ -25,16 +25,18 @@ pub fn harness_scale() -> ModelScale {
 }
 
 /// The TENSAT configuration used for the headline results (paper §6.1),
-/// with `k_multi` overridable per experiment.
+/// with `k_multi` overridable per experiment. The thread counts are the
+/// exploration defaults ([`ExplorationConfig::default`]).
 pub fn tensat_config(k_multi: usize) -> OptimizerConfig {
+    let defaults = ExplorationConfig::default();
     OptimizerConfig {
         k_multi,
         max_iter: 15,
         node_limit: 20_000,
         exploration_time_limit: Duration::from_secs(30),
         cycle_filter: CycleFilter::Efficient,
-        search_threads: tensat_core::default_search_threads(),
-        apply_threads: tensat_egraph::apply_threads_from_env(),
+        search_threads: defaults.search_threads,
+        apply_threads: defaults.apply_threads,
         extraction: ExtractionMode::Ilp,
         exploration: tensat_core::ExplorationMode::Saturate,
         guided: Default::default(),

@@ -10,7 +10,9 @@
 //! 1. **Bit-identical saturation** — identical node/class/union counts,
 //!    identical per-rule match sets on the final e-graph, identical
 //!    iteration statistics, and identical tree-greedy and greedy-DAG
-//!    extraction results;
+//!    extraction results (and, on the benchmark models, identical ILP
+//!    extraction results), with the seam's staged apply at 1 and 4 apply
+//!    threads against the legacy in-place apply loop;
 //! 2. **Guided determinism** — the guided beam search uses no randomness
 //!    and no wall-clock tie-breaks, so three runs from the same seed
 //!    produce bit-identical e-graphs and extractions;
@@ -26,10 +28,10 @@ use proptest::prelude::*;
 use std::time::Duration;
 use tensat_core::explore::legacy::explore_monolithic;
 use tensat_core::{
-    explore, extract_greedy, extract_greedy_dag, ExplorationConfig, ExplorationMode,
-    ExplorationStats,
+    explore, extract_greedy, extract_greedy_dag, extract_ilp, ExplorationConfig, ExplorationMode,
+    IlpConfig,
 };
-use tensat_egraph::{search_all_guarded_parallel, Id, RecExpr, SearchMatches};
+use tensat_egraph::{search_all, Id, RecExpr, SearchMatches};
 use tensat_ir::{CostModel, GraphBuilder, TensorAnalysis, TensorEGraph, TensorLang};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
 use tensat_rules::{multi_rules, single_rules, MultiPatternRule, TensorRewrite};
@@ -90,11 +92,12 @@ fn saturate_config(node_limit: usize) -> ExplorationConfig {
 /// e-graph — the strongest observable equality short of dumping storage.
 fn match_sets(eg: &TensorEGraph, rules: &[TensorRewrite]) -> Vec<Vec<SearchMatches>> {
     let queries: Vec<_> = rules.iter().map(|rw| rw.searcher_query()).collect();
-    search_all_guarded_parallel(&queries, eg, 1)
+    search_all(&queries, eg, 0, 1)
 }
 
 /// Runs the legacy monolith and the seamed `Saturate` strategy from the
-/// same seed and asserts bit-identical results. Returns the seam side.
+/// same seed and asserts bit-identical results. Returns both final
+/// e-graphs with their roots, legacy first.
 /// (The vendored `prop_assert!` macros are plain assertions, so this
 /// helper panics on mismatch — fine both inside and outside `proptest!`.)
 fn assert_bit_identical(
@@ -102,7 +105,7 @@ fn assert_bit_identical(
     singles: &[TensorRewrite],
     multis: &[MultiPatternRule],
     config: &ExplorationConfig,
-) -> (TensorEGraph, Id, ExplorationStats) {
+) -> [(TensorEGraph, Id); 2] {
     let (mut legacy_eg, legacy_root) = seeded(graph);
     let legacy_stats = explore_monolithic(&mut legacy_eg, legacy_root, singles, multis, config);
 
@@ -145,7 +148,7 @@ fn assert_bit_identical(
     prop_assert_eq!(legacy_dag.expr.nodes(), seam_dag.expr.nodes());
     prop_assert_eq!(legacy_dag.dag_cost, seam_dag.dag_cost);
 
-    (seam_eg, seam_root, seam_stats)
+    [(legacy_eg, legacy_root), (seam_eg, seam_root)]
 }
 
 proptest! {
@@ -190,14 +193,36 @@ fn op_strategy() -> impl Strategy<Value = Vec<RandOp>> {
 }
 
 /// Property 1 on every benchmark model, with multi-pattern rules in play
-/// (the multi apply path, guard tables, and cycle filter all exercised).
+/// (the multi apply path, guard tables, and cycle filter all exercised),
+/// for each (node limit, apply threads) pair: the legacy in-place apply
+/// loop against the seam's staged apply, sequential and sharded. The ILP
+/// extraction outcomes must agree too.
 #[test]
 fn saturate_is_bit_identical_to_legacy_on_all_benchmarks() {
     let singles = single_rules();
     let multis = multi_rules();
-    for name in BENCHMARKS {
-        let graph = build_benchmark(name, ModelScale::tiny());
-        assert_bit_identical(&graph, &singles, &multis, &saturate_config(5_000));
+    let model = CostModel::default();
+    let ilp = |eg: &TensorEGraph, root: Id| {
+        let out = extract_ilp(eg, root, &model, &IlpConfig::default()).unwrap();
+        (out.expr.nodes().to_vec(), out.dag_cost)
+    };
+    for (node_limit, apply_threads) in [(5_000, 1), (2_000, 1), (2_000, 4)] {
+        let config = ExplorationConfig {
+            apply_threads: Some(apply_threads),
+            ..saturate_config(node_limit)
+        };
+        for name in BENCHMARKS {
+            // Shown only when an assertion below fails.
+            eprintln!("{name}: node limit {node_limit}, {apply_threads} apply threads");
+            let graph = build_benchmark(name, ModelScale::tiny());
+            let [(legacy_eg, legacy_root), (seam_eg, seam_root)] =
+                assert_bit_identical(&graph, &singles, &multis, &config);
+            assert_eq!(
+                ilp(&legacy_eg, legacy_root),
+                ilp(&seam_eg, seam_root),
+                "{name}: ILP outcome diverged from the legacy oracle"
+            );
+        }
     }
 }
 

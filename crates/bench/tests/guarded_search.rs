@@ -22,7 +22,7 @@
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use tensat_core::{explore, CycleFilter, ExplorationConfig};
-use tensat_egraph::{SearchMatches, Subst};
+use tensat_egraph::{search_all, SearchMatches, Subst};
 use tensat_ir::{TensorAnalysis, TensorEGraph};
 use tensat_models::{build_benchmark, ModelScale, BENCHMARKS};
 use tensat_rules::{single_rules, TensorRewrite};
@@ -166,8 +166,8 @@ proptest! {
         // (3) Parallel guarded search is bit-identical to sequential.
         if let Some(program) = rule.guarded_program() {
             prop_assert_eq!(
-                program.search_parallel(eg, n_threads),
-                guarded,
+                search_all(&[program.query()], eg, 0, n_threads),
+                vec![guarded],
                 "model {} rule {}: parallel ({} threads) diverged", name, &rule.name, n_threads
             );
         }

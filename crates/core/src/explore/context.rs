@@ -18,34 +18,11 @@ use crate::cycles::{
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use tensat_egraph::{
-    search_all_guarded_parallel, search_all_guarded_since_parallel, stage_matches_parallel,
-    GuardedProgram, Id, Pattern, SearchMatches, SearchQuery, StagedApp, Subst,
+    search_all, stage_matches_parallel, GuardedProgram, Id, Pattern, SearchMatches, SearchQuery,
+    Subst,
 };
 use tensat_ir::{TensorData, TensorEGraph, TensorLang};
 use tensat_rules::{pattern_is_valid, MultiPatternRule, TensorRewrite};
-
-/// Cross-iteration state of the incremental multi-pattern search
-/// ([`ExplorationConfig::incremental_multi`]): the watermark taken after
-/// the previous iteration's search, the effective match lists that
-/// iteration used (per unique canonical source, the next iteration's
-/// *stale* candidates), and the honesty gate. Owned by the strategy loop
-/// ([`Saturate`](super::Saturate)) and threaded through
-/// [`ExplorationContext::run_iteration_with`]; a fresh default state makes
-/// every iteration a full search.
-#[derive(Debug, Default)]
-pub struct IncrementalMultiState {
-    /// Watermark snapshot from the previous iteration (taken on the clean
-    /// iteration-start e-graph, before any application).
-    watermark: Option<u64>,
-    /// Per unique canonical source: the previous iteration's flattened
-    /// `(root class, canonical substitution)` match list, in search order.
-    cache: Vec<Vec<(Id, Subst)>>,
-    /// True when a cycle-filter event (a combination rejected by the
-    /// pre-filter, or e-nodes filtered by the post-pass) may have
-    /// invalidated the cache: filter decisions are not covered by touch
-    /// propagation, so the next iteration must search in full.
-    flush: bool,
-}
 
 /// Everything a strategy needs to explore: the root, the rules with their
 /// compiled programs and guard tables, the configuration, and the budget
@@ -173,32 +150,12 @@ impl<'a> ExplorationContext<'a> {
         iter: usize,
         stats: &mut ExplorationStats,
     ) -> bool {
-        self.run_iteration_with(egraph, iter, stats, &mut IncrementalMultiState::default())
-    }
-
-    /// [`ExplorationContext::run_iteration`] with the cross-iteration
-    /// incremental multi-pattern state threaded through: when
-    /// [`ExplorationConfig::incremental_multi`] is set and the state holds
-    /// a usable cache, the multi sources are searched
-    /// watermark-restricted and all-stale Cartesian combinations are
-    /// skipped (they were applied, or rejected for covered reasons, in an
-    /// earlier iteration) — bit-identical to the full search.
-    pub fn run_iteration_with(
-        &self,
-        egraph: &mut TensorEGraph,
-        iter: usize,
-        stats: &mut ExplorationStats,
-        inc: &mut IncrementalMultiState,
-    ) -> bool {
         let config = self.config;
         let nodes_before = egraph.total_number_of_nodes();
         let unions_before = egraph.union_count();
 
         // Descendants map for the efficient pre-filter (Algorithm 2, line 3).
-        let mut desc = match config.cycle_filter {
-            CycleFilter::Efficient => Some(DescendantsMap::compute(egraph)),
-            _ => None,
-        };
+        let desc = self.descendants(egraph);
 
         // --- search phase ---------------------------------------------------
         // All matches — single-pattern and multi-pattern alike — are
@@ -218,26 +175,13 @@ impl<'a> ExplorationContext<'a> {
         // multi sources: the intersected target-implied constraints), so
         // inadmissible bindings die inside the machine.
         let do_multi = iter < config.k_multi;
-        let last_multi = iter + 1 == config.k_multi;
-        // Incremental multi search applies only between two *guarded* multi
-        // searches with a valid cache: the final multi iteration searches
-        // unguarded (below) — a strictly larger match set a guarded cache
-        // cannot stand in for — and the honesty gate (`flush`) forces a
-        // full search after any cycle-filter event.
-        let incremental = config.incremental_multi
-            && do_multi
-            && !last_multi
-            && !inc.flush
-            && inc.watermark.is_some()
-            && inc.cache.len() == self.unique_patterns.len();
-
         let search_start = Instant::now();
         let mut queries: Vec<SearchQuery<'_, TensorLang, TensorData>> = self
             .single_rules
             .iter()
             .map(|rw| rw.searcher_query())
             .collect();
-        if do_multi && !incremental {
+        if do_multi {
             // Guards evaluate at search time while `apply_combo` validates
             // at apply time, and unions performed earlier in the same
             // iteration (single-pattern applications run first) can make a
@@ -251,7 +195,7 @@ impl<'a> ExplorationContext<'a> {
             // are searched every iteration, and the saturation check only
             // declares a fixpoint when an iteration changed nothing at
             // all.)
-            if last_multi {
+            if iter + 1 == config.k_multi {
                 queries.extend(
                     self.unique_patterns
                         .iter()
@@ -261,116 +205,26 @@ impl<'a> ExplorationContext<'a> {
                 queries.extend(self.multi_guarded.iter().map(|g| g.query()));
             }
         }
-        let mut single_matches =
-            search_all_guarded_parallel(&queries, egraph, config.search_threads);
-        let multi_matches: Vec<_> = if do_multi {
-            if incremental {
-                // Watermark-restricted search of the multi sources: only
-                // classes touched since the previous iteration's snapshot
-                // are revisited (the singles above still search in full).
-                let queries: Vec<SearchQuery<'_, TensorLang, TensorData>> =
-                    self.multi_guarded.iter().map(|g| g.query()).collect();
-                search_all_guarded_since_parallel(
-                    &queries,
-                    egraph,
-                    inc.watermark.expect("incremental implies a watermark"),
-                    config.search_threads,
-                )
-            } else {
-                single_matches.split_off(self.single_rules.len())
-            }
-        } else {
-            vec![]
-        };
-
-        // Flatten the multi match lists, tagging each entry fresh or stale.
-        // In the incremental case the effective list is the union of the
-        // cached matches whose root class is untouched since the watermark
-        // (a touched root's matches are all re-found by `search_since`, so
-        // dropping them loses nothing) and the freshly found matches; a
-        // class's matches are wholly stale or wholly fresh, so a stable
-        // sort by root id reproduces the full search's class order — and
-        // with it the full search's application order — exactly.
-        let multi_flat: Vec<Vec<(Id, Subst, bool)>> = if incremental {
-            let wm = inc.watermark.expect("incremental implies a watermark");
-            multi_matches
-                .iter()
-                .enumerate()
-                .map(|(si, fresh)| {
-                    let mut list: Vec<(Id, Subst, bool)> = inc.cache[si]
-                        .iter()
-                        .filter(|(eclass, _)| egraph.last_touched(*eclass) < wm)
-                        .map(|(eclass, subst)| (*eclass, subst.clone(), false))
-                        .collect();
-                    list.extend(flatten_matches(fresh));
-                    list.sort_by_key(|(eclass, _, _)| usize::from(*eclass));
-                    list
-                })
-                .collect()
-        } else {
-            multi_matches
-                .iter()
-                .map(|ms| flatten_matches(ms).collect())
-                .collect()
-        };
+        let mut single_matches = search_all(&queries, egraph, 0, config.search_threads);
+        let multi_flat: Vec<Vec<(Id, Subst)>> = single_matches
+            .split_off(self.single_rules.len())
+            .iter()
+            .map(|ms| flatten_matches(ms))
+            .collect();
         stats.search_time += search_start.elapsed();
 
-        if config.incremental_multi && do_multi && !last_multi {
-            // Snapshot before this iteration mutates anything, and keep the
-            // effective match lists: the next iteration's stale candidates.
-            inc.watermark = Some(egraph.watermark());
-            inc.cache = multi_flat
-                .iter()
-                .map(|list| {
-                    list.iter()
-                        .map(|(eclass, subst, _)| (*eclass, subst.clone()))
-                        .collect()
-                })
-                .collect();
-            inc.flush = false;
-        } else {
-            // The guarded multi window is over: nothing cached from here
-            // can seed an incremental search.
-            inc.watermark = None;
-            inc.cache = vec![];
-        }
-
         // --- apply single-pattern rules (staged) -----------------------------
-        // The whole gathered batch is staged against the read-only
-        // iteration-start e-graph — side conditions evaluate here, sharded
-        // across `apply_threads` scoped workers — then committed in one
-        // sequential pass in batch order, with the limits and the cycle
-        // pre-filter checked before every application, exactly where the
-        // in-place loop checked them. The wall-clock budget also bounds the
-        // staging loop itself (`should_stop`): a large match batch must not
-        // blow through `time_limit` evaluating conditions.
         let apply_start = Instant::now();
-        let should_stop = || self.elapsed() >= config.time_limit;
         let batch: Vec<(&TensorRewrite, &[SearchMatches])> = self
             .single_rules
             .iter()
             .zip(single_matches.iter().map(Vec::as_slice))
             .collect();
-        let log = stage_matches_parallel(
-            &batch,
-            egraph,
-            config.resolved_apply_threads(),
-            Some(&should_stop),
-        );
-        for app in &log.apps {
-            if egraph.total_number_of_nodes() >= config.node_limit
-                || self.elapsed() >= config.time_limit
-            {
-                break;
-            }
-            if skip_staged_for_cycles(egraph, config.cycle_filter, &mut desc, app) {
-                continue;
-            }
-            egraph.commit_staged(app, log.base);
-        }
+        self.stage_and_commit(egraph, &batch, desc.as_ref(), |nodes| {
+            nodes >= config.node_limit
+        });
 
         // --- apply multi-pattern rules (first k_multi iterations only) ------
-        let mut events = MultiApplyEvents::default();
         if do_multi {
             for mrule in &self.compiled {
                 apply_multi_rule(
@@ -378,9 +232,8 @@ impl<'a> ExplorationContext<'a> {
                     mrule,
                     &multi_flat,
                     config,
-                    &mut desc,
+                    desc.as_ref(),
                     self.start,
-                    &mut events,
                 );
                 if egraph.total_number_of_nodes() >= config.node_limit
                     || self.elapsed() >= config.time_limit
@@ -389,7 +242,6 @@ impl<'a> ExplorationContext<'a> {
                 }
             }
         }
-        stats.multi_stale_skipped += events.stale_skipped;
         stats.apply_time += apply_start.elapsed();
 
         let rebuild_start = Instant::now();
@@ -397,19 +249,10 @@ impl<'a> ExplorationContext<'a> {
 
         // Post-processing: resolve cycles that slipped past the pre-filter
         // (Algorithm 2, lines 10–18).
-        let mut filtered_this_iter = 0;
         if config.cycle_filter == CycleFilter::Efficient {
-            filtered_this_iter = remove_all_cycles(egraph, self.root);
-            stats.filtered_nodes += filtered_this_iter;
+            stats.filtered_nodes += remove_all_cycles(egraph, self.root);
         }
         stats.rebuild_time += rebuild_start.elapsed();
-
-        // Honesty gate: cycle-filter decisions are not covered by touch
-        // propagation, so any filter event this iteration could flip a
-        // cached combination's verdict — the next search must run in full.
-        if events.cycle_rejects > 0 || filtered_this_iter > 0 {
-            inc.flush = true;
-        }
 
         stats.iterations = iter + 1;
         stats
@@ -423,7 +266,8 @@ impl<'a> ExplorationContext<'a> {
     /// `include_multi`, every deduplicated canonical multi-pattern source
     /// — against a candidate state. Returns `(single, multi)` match lists
     /// in rule/source order; match lists are bit-identical across thread
-    /// counts, so guided strategies stay deterministic.
+    /// counts, so guided strategies stay deterministic. Adds the search
+    /// time to `stats.search_time`.
     ///
     /// Unlike [`ExplorationContext::run_iteration`], the multi sources are
     /// always searched guarded: a guided strategy validates combinations
@@ -433,7 +277,9 @@ impl<'a> ExplorationContext<'a> {
         &self,
         egraph: &TensorEGraph,
         include_multi: bool,
+        stats: &mut ExplorationStats,
     ) -> (Vec<Vec<SearchMatches>>, Vec<Vec<SearchMatches>>) {
+        let search_start = Instant::now();
         let mut queries: Vec<SearchQuery<'_, TensorLang, TensorData>> = self
             .single_rules
             .iter()
@@ -442,12 +288,9 @@ impl<'a> ExplorationContext<'a> {
         if include_multi {
             queries.extend(self.multi_guarded.iter().map(|g| g.query()));
         }
-        let mut single = search_all_guarded_parallel(&queries, egraph, self.config.search_threads);
-        let multi = if include_multi {
-            single.split_off(self.single_rules.len())
-        } else {
-            vec![]
-        };
+        let mut single = search_all(&queries, egraph, 0, self.config.search_threads);
+        let multi = single.split_off(self.single_rules.len());
+        stats.search_time += search_start.elapsed();
         (single, multi)
     }
 
@@ -455,48 +298,30 @@ impl<'a> ExplorationContext<'a> {
     /// under a *hard* node budget: an application is attempted only while
     /// the e-graph plus the applier's worst-case growth (its AST size)
     /// stays within `budget`, so the state never exceeds it. Rebuilds and
-    /// cycle-filters afterwards, leaving the state clean for scoring.
+    /// cycle-filters afterwards, leaving the state clean for scoring. Adds
+    /// the phase times to `stats`.
     pub fn apply_single_budgeted(
         &self,
         egraph: &mut TensorEGraph,
         rule_index: usize,
         matches: &[SearchMatches],
         budget: usize,
+        stats: &mut ExplorationStats,
     ) {
+        let apply_start = Instant::now();
         let rw = &self.single_rules[rule_index];
         // Worst-case e-nodes one application can add: every pattern node
         // is new. (Variables instantiate to existing classes, so this
         // over-estimates — which only makes the budget check stricter.)
+        // One commit adds at most `adds.len() <= headroom` nodes, so the
+        // budget stays hard.
         let headroom = rw.applier.ast.len();
-        let mut desc = match self.config.cycle_filter {
-            CycleFilter::Efficient => Some(DescendantsMap::compute(egraph)),
-            _ => None,
-        };
-        // Staged like `run_iteration_with`'s single apply: conditions
-        // evaluate against the read-only batch-start state, the commit
-        // pass checks the budget before every application, and one commit
-        // adds at most `adds.len() <= headroom` nodes — so the budget
-        // stays hard.
-        let should_stop = || self.elapsed() >= self.config.time_limit;
-        let batch = [(rw, matches)];
-        let log = stage_matches_parallel(
-            &batch,
-            egraph,
-            self.config.resolved_apply_threads(),
-            Some(&should_stop),
-        );
-        for app in &log.apps {
-            if egraph.total_number_of_nodes() + headroom > budget
-                || self.elapsed() >= self.config.time_limit
-            {
-                break;
-            }
-            if skip_staged_for_cycles(egraph, self.config.cycle_filter, &mut desc, app) {
-                continue;
-            }
-            egraph.commit_staged(app, log.base);
-        }
-        self.seal_state(egraph);
+        let desc = self.descendants(egraph);
+        self.stage_and_commit(egraph, &[(rw, matches)], desc.as_ref(), |nodes| {
+            nodes + headroom > budget
+        });
+        stats.apply_time += apply_start.elapsed();
+        self.seal_state(egraph, stats);
     }
 
     /// Applies one multi-pattern rule's Cartesian combinations to a
@@ -512,12 +337,14 @@ impl<'a> ExplorationContext<'a> {
         rule_index: usize,
         multi_matches: &[Vec<SearchMatches>],
         budget: usize,
+        stats: &mut ExplorationStats,
     ) {
         let mrule = &self.compiled[rule_index];
         let headroom: usize = mrule.rule.dsts.iter().map(|d| d.ast.len()).sum();
         if headroom > budget {
             return;
         }
+        let apply_start = Instant::now();
         // `cartesian` refuses to apply once `nodes >= node_limit`, so with
         // `node_limit = budget - headroom + 1` every application starts at
         // `nodes <= budget - headroom` and ends at most at `budget`.
@@ -525,125 +352,119 @@ impl<'a> ExplorationContext<'a> {
             node_limit: budget - headroom + 1,
             ..self.config.clone()
         };
-        let mut desc = match self.config.cycle_filter {
+        let desc = self.descendants(egraph);
+        let flat: Vec<Vec<(Id, Subst)>> =
+            multi_matches.iter().map(|ms| flatten_matches(ms)).collect();
+        apply_multi_rule(egraph, mrule, &flat, &capped, desc.as_ref(), self.start);
+        stats.apply_time += apply_start.elapsed();
+        self.seal_state(egraph, stats);
+    }
+
+    /// The descendants map the efficient cycle pre-filter reads, computed
+    /// on the e-graph as it is before a batch of applications.
+    fn descendants(&self, egraph: &TensorEGraph) -> Option<DescendantsMap> {
+        match self.config.cycle_filter {
             CycleFilter::Efficient => Some(DescendantsMap::compute(egraph)),
             _ => None,
-        };
-        let flat: Vec<Vec<(Id, Subst, bool)>> = multi_matches
-            .iter()
-            .map(|ms| flatten_matches(ms).collect())
-            .collect();
-        apply_multi_rule(
+        }
+    }
+
+    /// Stages a single-pattern match batch against the read-only e-graph —
+    /// side conditions evaluate here, sharded across `apply_threads` scoped
+    /// workers — then commits it in one sequential pass in batch order.
+    /// Before every application the commit pass checks the wall-clock
+    /// budget and `full`, the caller's stop condition on the e-node count
+    /// ([`Saturate`](super::Saturate)'s soft node limit or
+    /// [`Guided`](super::Guided)'s hard budget), and skips applications the
+    /// cycle pre-filter rejects. The wall-clock budget also bounds the
+    /// staging loop itself: a large match batch must not blow through
+    /// `time_limit` evaluating conditions.
+    fn stage_and_commit(
+        &self,
+        egraph: &mut TensorEGraph,
+        batch: &[(&TensorRewrite, &[SearchMatches])],
+        desc: Option<&DescendantsMap>,
+        full: impl Fn(usize) -> bool,
+    ) {
+        let should_stop = || self.elapsed() >= self.config.time_limit;
+        let log = stage_matches_parallel(
+            batch,
             egraph,
-            mrule,
-            &flat,
-            &capped,
-            &mut desc,
-            self.start,
-            &mut MultiApplyEvents::default(),
+            self.config.resolved_apply_threads(),
+            Some(&should_stop),
         );
-        self.seal_state(egraph);
+        for app in &log.apps {
+            if full(egraph.total_number_of_nodes()) || should_stop() {
+                break;
+            }
+            if skip_for_cycles(egraph, self.config.cycle_filter, desc, |desc| {
+                staged_would_create_cycle(egraph, desc, app)
+            }) {
+                continue;
+            }
+            egraph.commit_staged(app, log.base);
+        }
     }
 
     /// Rebuilds a candidate state and resolves cycles, restoring the
-    /// invariants scoring and the next search step rely on.
-    fn seal_state(&self, egraph: &mut TensorEGraph) {
+    /// invariants scoring and the next search step rely on. Adds the time
+    /// to `stats.rebuild_time`.
+    fn seal_state(&self, egraph: &mut TensorEGraph, stats: &mut ExplorationStats) {
+        let rebuild_start = Instant::now();
         egraph.rebuild();
         if self.config.cycle_filter == CycleFilter::Efficient {
             remove_all_cycles(egraph, self.root);
         }
+        stats.rebuild_time += rebuild_start.elapsed();
     }
 }
 
 /// Flattens one source pattern's match list into `(root class, canonical
-/// substitution, fresh)` entries in search order, all tagged fresh.
-fn flatten_matches(matches: &[SearchMatches]) -> impl Iterator<Item = (Id, Subst, bool)> + '_ {
+/// substitution)` entries in search order.
+fn flatten_matches(matches: &[SearchMatches]) -> Vec<(Id, Subst)> {
     matches
         .iter()
-        .flat_map(|m| m.substs.iter().map(move |s| (m.eclass, s.clone(), true)))
+        .flat_map(|m| m.substs.iter().map(move |s| (m.eclass, s.clone())))
+        .collect()
 }
 
-/// Cycle-filter events observed while applying multi-pattern rules: the
-/// incremental cache's honesty gate counts the rejections, and the skip
-/// counter feeds [`ExplorationStats::multi_stale_skipped`].
-#[derive(Debug, Default)]
-struct MultiApplyEvents {
-    /// Combinations rejected by the cycle pre-filter.
-    cycle_rejects: usize,
-    /// All-stale combinations skipped by the incremental search.
-    stale_skipped: usize,
-}
-
-/// Commit-time cycle pre-filter for staged applications: the same verdict
-/// [`skip_for_cycles`] would reach for the application, read from the
-/// staged bound list instead of re-walking the target pattern.
-fn skip_staged_for_cycles(
-    egraph: &TensorEGraph,
-    filter: CycleFilter,
-    desc: &mut Option<DescendantsMap>,
-    app: &StagedApp<TensorLang>,
-) -> bool {
-    match filter {
-        CycleFilter::Off => false,
-        CycleFilter::Efficient => {
-            let desc = desc
-                .as_ref()
-                .expect("descendants map exists in efficient mode");
-            staged_would_create_cycle(egraph, desc, app)
-        }
-        CycleFilter::Vanilla => {
-            let fresh = DescendantsMap::compute(egraph);
-            staged_would_create_cycle(egraph, &fresh, app)
-        }
-    }
-}
-
-/// Returns true if the candidate application must be skipped because it
+/// Returns true if a candidate application must be skipped because it
 /// would create a cycle under the configured filtering mode.
+/// `creates_cycle` runs the leaf-reaches-root check for the application
+/// against a descendants map.
 fn skip_for_cycles(
     egraph: &TensorEGraph,
     filter: CycleFilter,
-    desc: &mut Option<DescendantsMap>,
-    matched: Id,
-    target: &Pattern<TensorLang>,
-    subst: &Subst,
+    desc: Option<&DescendantsMap>,
+    creates_cycle: impl FnOnce(&DescendantsMap) -> bool,
 ) -> bool {
     match filter {
         CycleFilter::Off => false,
         CycleFilter::Efficient => {
-            let desc = desc
-                .as_ref()
-                .expect("descendants map exists in efficient mode");
-            would_create_cycle(egraph, desc, matched, target, subst)
+            creates_cycle(desc.expect("descendants map exists in efficient mode"))
         }
-        CycleFilter::Vanilla => {
-            // Vanilla filtering recomputes reachability for every candidate:
-            // a full pass over the e-graph per check (paper §5.2).
-            let fresh = DescendantsMap::compute(egraph);
-            would_create_cycle(egraph, &fresh, matched, target, subst)
-        }
+        // Vanilla filtering recomputes reachability for every candidate: a
+        // full pass over the e-graph per check (paper §5.2).
+        CycleFilter::Vanilla => creates_cycle(&DescendantsMap::compute(egraph)),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn apply_multi_rule(
     egraph: &mut TensorEGraph,
     mrule: &MultiRuleCompiled,
-    all_matches: &[Vec<(Id, Subst, bool)>],
+    all_matches: &[Vec<(Id, Subst)>],
     config: &ExplorationConfig,
-    desc: &mut Option<DescendantsMap>,
+    desc: Option<&DescendantsMap>,
     start: Instant,
-    events: &mut MultiApplyEvents,
 ) {
-    // Decanonicalized flat match lists per source pattern, carrying each
-    // entry's freshness tag (always `true` outside incremental search).
-    let per_src: Vec<Vec<(Id, Subst, bool)>> = mrule
+    // Decanonicalized flat match lists per source pattern.
+    let per_src: Vec<Vec<(Id, Subst)>> = mrule
         .srcs
         .iter()
         .map(|(idx, back)| {
             all_matches[*idx]
                 .iter()
-                .map(|(eclass, subst, fresh)| (*eclass, decanonicalize_subst(subst, back), *fresh))
+                .map(|(eclass, subst)| (*eclass, decanonicalize_subst(subst, back)))
                 .collect()
         })
         .collect();
@@ -651,49 +472,37 @@ fn apply_multi_rule(
     // Cartesian product over the source patterns (Algorithm 1, line 16).
     // All current rules have exactly two sources; the generic recursion
     // handles more.
-    let mut combo: Vec<(Id, Subst, bool)> = Vec::with_capacity(per_src.len());
-    cartesian(
-        egraph, mrule, &per_src, 0, &mut combo, config, desc, start, events,
-    );
+    let mut combo: Vec<(Id, Subst)> = Vec::with_capacity(per_src.len());
+    cartesian(egraph, mrule, &per_src, 0, &mut combo, config, desc, start);
 }
 
 #[allow(clippy::too_many_arguments)]
 fn cartesian(
     egraph: &mut TensorEGraph,
     mrule: &MultiRuleCompiled,
-    per_src: &[Vec<(Id, Subst, bool)>],
+    per_src: &[Vec<(Id, Subst)>],
     depth: usize,
-    combo: &mut Vec<(Id, Subst, bool)>,
+    combo: &mut Vec<(Id, Subst)>,
     config: &ExplorationConfig,
-    desc: &mut Option<DescendantsMap>,
+    desc: Option<&DescendantsMap>,
     start: Instant,
-    events: &mut MultiApplyEvents,
 ) {
     if egraph.total_number_of_nodes() >= config.node_limit || start.elapsed() >= config.time_limit {
         return;
     }
     if depth == per_src.len() {
-        if combo.iter().any(|(_, _, fresh)| *fresh) {
-            apply_combo(egraph, mrule, combo, config, desc, events);
-        } else {
-            // Every element predates the incremental watermark: this exact
-            // combination was already applied in an earlier iteration
-            // (re-applying is a hash-cons/union no-op) or rejected there
-            // for a reason touch propagation covers — skipping it is
-            // bit-identical to re-running it.
-            events.stale_skipped += 1;
-        }
+        apply_combo(egraph, mrule, combo, config, desc);
         return;
     }
-    for (eclass, subst, fresh) in &per_src[depth] {
+    for (eclass, subst) in &per_src[depth] {
         if mrule.rule.skip_identical
-            && combo.iter().any(|(c, s, _)| {
+            && combo.iter().any(|(c, s)| {
                 egraph.find(*c) == egraph.find(*eclass) && substs_equal_canonical(egraph, s, subst)
             })
         {
             continue;
         }
-        combo.push((*eclass, subst.clone(), *fresh));
+        combo.push((*eclass, subst.clone()));
         cartesian(
             egraph,
             mrule,
@@ -703,7 +512,6 @@ fn cartesian(
             config,
             desc,
             start,
-            events,
         );
         combo.pop();
         if egraph.total_number_of_nodes() >= config.node_limit {
@@ -715,14 +523,13 @@ fn cartesian(
 fn apply_combo(
     egraph: &mut TensorEGraph,
     mrule: &MultiRuleCompiled,
-    combo: &[(Id, Subst, bool)],
+    combo: &[(Id, Subst)],
     config: &ExplorationConfig,
-    desc: &mut Option<DescendantsMap>,
-    events: &mut MultiApplyEvents,
+    desc: Option<&DescendantsMap>,
 ) {
     // Check compatibility at shared variables and build the merged binding.
     let mut merged = Subst::new();
-    for (_, subst, _) in combo {
+    for (_, subst) in combo {
         match merge_substs(egraph, &merged, subst) {
             Some(m) => merged = m,
             None => return,
@@ -730,7 +537,7 @@ fn apply_combo(
     }
     // Shape check every target, and make sure output shapes match the
     // matched classes.
-    for ((matched, _, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
+    for ((matched, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
         if !pattern_is_valid(egraph, dst, &merged) {
             return;
         }
@@ -746,14 +553,15 @@ fn apply_combo(
         }
     }
     // Cycle pre-filtering per target.
-    for ((matched, _, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
-        if skip_for_cycles(egraph, config.cycle_filter, desc, *matched, dst, &merged) {
-            events.cycle_rejects += 1;
+    for ((matched, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
+        if skip_for_cycles(egraph, config.cycle_filter, desc, |desc| {
+            would_create_cycle(egraph, desc, *matched, dst, &merged)
+        }) {
             return;
         }
     }
     // Apply: union each matched class with its instantiated target.
-    for ((matched, _, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
+    for ((matched, _), dst) in combo.iter().zip(&mrule.rule.dsts) {
         dst.apply_one(egraph, *matched, &merged);
     }
 }

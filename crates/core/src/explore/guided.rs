@@ -147,7 +147,7 @@ impl ExplorationStrategy for Guided {
             let mut candidates: Vec<State> = Vec::new();
             'expand: for state in &beam {
                 let (single_matches, multi_matches) =
-                    ctx.search_state(&state.egraph, include_multi);
+                    ctx.search_state(&state.egraph, include_multi, &mut stats);
                 let nodes_before = state.egraph.total_number_of_nodes();
                 let unions_before = state.egraph.union_count();
                 let push = |next: TensorEGraph, candidates: &mut Vec<State>| {
@@ -167,7 +167,7 @@ impl ExplorationStrategy for Guided {
                         continue;
                     }
                     let mut next = state.egraph.snapshot();
-                    ctx.apply_single_budgeted(&mut next, ri, matches, budget);
+                    ctx.apply_single_budgeted(&mut next, ri, matches, budget, &mut stats);
                     push(next, &mut candidates);
                 }
                 // One action per multi-pattern rule (first k_multi steps).
@@ -177,7 +177,7 @@ impl ExplorationStrategy for Guided {
                             break 'expand;
                         }
                         let mut next = state.egraph.snapshot();
-                        ctx.apply_multi_budgeted(&mut next, mi, &multi_matches, budget);
+                        ctx.apply_multi_budgeted(&mut next, mi, &multi_matches, budget, &mut stats);
                         push(next, &mut candidates);
                     }
                 }

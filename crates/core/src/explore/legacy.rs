@@ -1,6 +1,6 @@
-//! The pre-seam monolithic exploration loop, kept **verbatim** as a
-//! differential oracle — the same role [`Pattern::search_naive`] plays
-//! for the compiled e-matching machine. The seam refactor
+//! The pre-seam monolithic exploration loop, its control flow kept
+//! **verbatim** as a differential oracle — the same role
+//! [`Pattern::search_naive`] plays for the compiled e-matching machine. The seam refactor
 //! ([`Saturate`](super::Saturate) over
 //! [`ExplorationContext`](super::ExplorationContext)) is proven
 //! bit-identical to this function on random e-graphs and every
@@ -12,7 +12,8 @@
 //! with the engine, so a regression in the restructured control flow
 //! cannot silently rewrite the oracle it is checked against. The pure
 //! data-preparation helpers (canonicalization, guard compilation) are
-//! shared — they were not restructured.
+//! shared — they were not restructured — and so is the e-matching driver
+//! ([`search_all`]).
 //!
 //! [`Pattern::search_naive`]: tensat_egraph::Pattern::search_naive
 
@@ -23,12 +24,13 @@ use super::{
 use crate::cycles::{remove_all_cycles, would_create_cycle, DescendantsMap};
 use std::collections::HashMap;
 use std::time::Instant;
-use tensat_egraph::{search_all_guarded_parallel, Id, Pattern, SearchQuery, Subst};
+use tensat_egraph::{search_all, Id, Pattern, SearchQuery, Subst};
 use tensat_ir::{TensorData, TensorEGraph, TensorLang};
 use tensat_rules::{pattern_is_valid, MultiPatternRule, TensorRewrite};
 
 /// Runs the exploration phase on an e-graph already seeded with the input
-/// graph — the pre-seam saturate-all implementation, verbatim. Returns
+/// graph — the pre-seam saturate-all implementation, control flow
+/// verbatim. Returns
 /// statistics; the e-graph is grown in place.
 pub fn explore_monolithic(
     egraph: &mut TensorEGraph,
@@ -103,8 +105,7 @@ pub fn explore_monolithic(
                 queries.extend(multi_guarded.iter().map(|g| g.query()));
             }
         }
-        let mut single_matches =
-            search_all_guarded_parallel(&queries, egraph, config.search_threads);
+        let mut single_matches = search_all(&queries, egraph, 0, config.search_threads);
         let multi_matches: Vec<_> = if do_multi {
             single_matches.split_off(single_rules.len())
         } else {

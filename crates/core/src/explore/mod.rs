@@ -7,8 +7,8 @@
 //! Three strategies ship through the seam:
 //!
 //! * [`Saturate`] — Algorithm 1's saturate-all loop, bit-identical to the
-//!   pre-seam monolithic `explore()` (kept verbatim in [`legacy`] as the
-//!   differential oracle).
+//!   pre-seam monolithic `explore()` (its control flow kept verbatim in
+//!   [`legacy`] as the differential oracle).
 //! * [`Guided`] — a deterministic beam search (MCTS-lite) treating rule
 //!   batches as actions, scoring candidate e-graph states by greedy-DAG
 //!   extracted cost plus a node-growth penalty, and expanding only the
@@ -29,7 +29,7 @@ pub mod legacy;
 mod saturate;
 mod taso;
 
-pub use context::{ExplorationContext, IncrementalMultiState};
+pub use context::ExplorationContext;
 pub use guided::{Guided, GuidedConfig};
 pub use saturate::Saturate;
 pub use taso::{TasoBacktracking, TasoConfig};
@@ -104,11 +104,13 @@ impl ExplorationMode {
     }
 
     /// The exploration mode requested via the `TENSAT_EXPLORER`
-    /// environment variable, if set to a recognized name. Read uncached
-    /// (like `TENSAT_EXTRACTOR` and `TENSAT_SEARCH_THREADS`) so tests and
-    /// harnesses can vary it per run.
+    /// environment variable, if set to a recognized name (surrounding
+    /// whitespace is ignored). Read uncached (like `TENSAT_EXTRACTOR` and
+    /// `TENSAT_SEARCH_THREADS`) so tests and harnesses can vary it per run.
     pub fn from_env() -> Option<ExplorationMode> {
-        tensat_egraph::explorer_from_env().and_then(|v| ExplorationMode::from_name(&v))
+        std::env::var("TENSAT_EXPLORER")
+            .ok()
+            .and_then(|v| ExplorationMode::from_name(v.trim()))
     }
 
     /// The strategy name this mode resolves to at the exploration seam.
@@ -160,15 +162,6 @@ pub struct ExplorationConfig {
     /// follows `search_threads`; see
     /// [`ExplorationConfig::resolved_apply_threads`].
     pub apply_threads: Option<usize>,
-    /// Wires the incremental-search watermark through the multi-pattern
-    /// Cartesian product: combinations whose elements *all* predate the
-    /// previous iteration's watermark were already applied (or rejected)
-    /// and are skipped, while stale × fresh combinations — new even though
-    /// one side is old — still fire. Outcome-preserving (the engine falls
-    /// back to a full search whenever a cycle-filter event could have
-    /// invalidated the cache); only the first `k_multi` iterations are
-    /// affected, so the default configuration (`k_multi = 1`) never skips.
-    pub incremental_multi: bool,
     /// Which exploration strategy [`explore`] dispatches to.
     pub mode: ExplorationMode,
     /// Cost model used by strategies that score candidate states
@@ -197,7 +190,6 @@ impl Default for ExplorationConfig {
             cycle_filter: CycleFilter::Efficient,
             search_threads: default_search_threads(),
             apply_threads: tensat_egraph::apply_threads_from_env(),
-            incremental_multi: false,
             mode: ExplorationMode::from_env().unwrap_or(ExplorationMode::Saturate),
             cost_model: CostModel::default(),
             guided: GuidedConfig::default(),
@@ -239,20 +231,16 @@ pub struct ExplorationStats {
     pub filtered_nodes: usize,
     /// Total wall-clock time of the exploration phase.
     pub time: Duration,
-    /// Time spent in the e-matching search phase, summed over iterations.
-    /// Filled in by [`Saturate`]'s engine iterations; strategies with no
-    /// phase structure ([`Guided`], [`TasoBacktracking`]) leave it zero.
+    /// Time spent in the e-matching search phase, summed over
+    /// [`Saturate`]'s iterations or [`Guided`]'s per-state searches.
+    /// [`TasoBacktracking`] has no such phase and leaves it zero.
     pub search_time: Duration,
-    /// Time spent staging and committing rewrite applications, summed over
-    /// iterations (same caveat as `search_time`).
+    /// Time spent staging and committing rewrite applications, summed like
+    /// `search_time`.
     pub apply_time: Duration,
-    /// Time spent rebuilding and cycle-filtering, summed over iterations
-    /// (same caveat as `search_time`).
+    /// Time spent rebuilding and cycle-filtering, summed like
+    /// `search_time`.
     pub rebuild_time: Duration,
-    /// Multi-pattern Cartesian combinations skipped because every element
-    /// predates the incremental watermark (see
-    /// [`ExplorationConfig::incremental_multi`]).
-    pub multi_stale_skipped: usize,
     /// E-node count after each iteration.
     pub nodes_per_iteration: Vec<usize>,
     /// Name of the strategy that produced these statistics (filled in by
@@ -456,7 +444,7 @@ pub(crate) fn compile_multi_guards(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tensat_ir::{GraphBuilder, TensorAnalysis};
+    use tensat_ir::{Activation, GraphBuilder, Padding, TensorAnalysis};
     use tensat_rules::{multi_rules, parse_pattern, single_rules};
 
     fn two_matmul_graph() -> (TensorEGraph, Id) {
@@ -738,6 +726,34 @@ mod tests {
             )
         };
         assert_eq!(run(1), run(4));
+    }
+
+    /// Guided fills in the phase timers, as Saturate does: a run that
+    /// grows the e-graph spent time searching and applying.
+    #[test]
+    fn guided_reports_phase_times() {
+        // conv + relu: fusing the relu into the conv lowers the cost, so
+        // the beam keeps a grown state.
+        let mut g = GraphBuilder::new();
+        let x = g.input("x", &[1, 64, 28, 28]);
+        let w = g.weight("w", &[64, 64, 3, 3]);
+        let c = g.conv(x, w, (1, 1), Padding::Same, Activation::None);
+        let r = g.relu(c);
+        let expr = g.finish(&[r]);
+        let mut eg = TensorEGraph::new(TensorAnalysis);
+        let root = eg.add_expr(&expr);
+        eg.rebuild();
+        let seed_nodes = eg.total_number_of_nodes();
+        let config = ExplorationConfig {
+            mode: ExplorationMode::Guided,
+            node_limit: 5_000,
+            ..Default::default()
+        };
+        let stats = explore(&mut eg, root, &single_rules(), &multi_rules(), &config);
+        assert_eq!(stats.strategy, "guided");
+        assert!(stats.enodes > seed_nodes, "the guided run applied nothing");
+        assert!(stats.search_time > Duration::ZERO);
+        assert!(stats.apply_time > Duration::ZERO);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The saturate-all strategy: the paper's exploration loop (Algorithm 1)
 //! run through the seam.
 
-use super::context::{ExplorationContext, IncrementalMultiState};
+use super::context::ExplorationContext;
 use super::{ExplorationStats, ExplorationStrategy};
 use tensat_ir::TensorEGraph;
 
 /// Saturate-all exploration: every iteration searches every rule against
 /// the whole e-graph and applies all admissible matches, until saturation
 /// or a limit is reached. Bit-identical to the pre-seam monolithic
-/// `explore()` — [`legacy::explore_monolithic`](super::legacy) is kept
-/// verbatim as the differential oracle, and
+/// `explore()` — [`legacy::explore_monolithic`](super::legacy) keeps its
+/// control flow verbatim as the differential oracle, and
 /// `crates/bench/tests/exploration_strategies.rs` proves the equivalence
 /// on random e-graphs and every `BENCHMARKS` model.
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,14 +23,11 @@ impl ExplorationStrategy for Saturate {
     fn run(&self, egraph: &mut TensorEGraph, ctx: &ExplorationContext<'_>) -> ExplorationStats {
         let mut stats = ExplorationStats::default();
         egraph.rebuild();
-        // Cross-iteration incremental multi-pattern state (a no-op set of
-        // full searches unless `ExplorationConfig::incremental_multi`).
-        let mut inc = IncrementalMultiState::default();
         for iter in 0..ctx.config().max_iter {
             if ctx.over_budget(egraph) {
                 break;
             }
-            let changed = ctx.run_iteration_with(egraph, iter, &mut stats, &mut inc);
+            let changed = ctx.run_iteration(egraph, iter, &mut stats);
             if !changed {
                 stats.saturated = true;
                 break;

@@ -1,8 +1,8 @@
 //! The end-to-end TENSAT optimizer: exploration followed by extraction.
 
 use crate::explore::{
-    default_search_threads, defaults, explore, CycleFilter, ExplorationConfig, ExplorationMode,
-    ExplorationStats, GuidedConfig, TasoConfig,
+    explore, CycleFilter, ExplorationConfig, ExplorationMode, ExplorationStats, GuidedConfig,
+    TasoConfig,
 };
 use crate::extract::{
     ExtractError, ExtractionStrategy, GreedyDag, IlpConfig, IlpExtraction, IlpStats, TreeGreedy,
@@ -107,7 +107,7 @@ pub struct OptimizerConfig {
     /// Threads used by the exploration search phase (1 = sequential; the
     /// parallel driver returns bit-identical matches, so this only affects
     /// wall-clock time). Defaults to
-    /// [`default_search_threads`].
+    /// [`default_search_threads`](crate::default_search_threads).
     pub search_threads: usize,
     /// Threads used by the staged apply+rebuild phase (`None` follows
     /// `search_threads`; the staged commit is bit-identical across thread
@@ -137,28 +137,30 @@ pub struct OptimizerConfig {
 }
 
 impl Default for OptimizerConfig {
-    /// Paper defaults (the exploration limits come from the one source of
-    /// truth, [`defaults`]), except that
-    /// `TENSAT_EXTRACTOR` / `TENSAT_EXPLORER` environment overrides (see
-    /// [`ExtractionMode::from_env`] and [`ExplorationMode::from_env`])
-    /// replace the default ILP extraction / saturate exploration when set.
+    /// Paper defaults. The exploration fields, including the
+    /// environment-derived thread counts and the `TENSAT_EXPLORER` mode,
+    /// are copied from [`ExplorationConfig::default`], their one source of
+    /// truth; the `TENSAT_EXTRACTOR` override (see
+    /// [`ExtractionMode::from_env`]) replaces the default ILP extraction
+    /// when set.
     fn default() -> Self {
+        let exploration = ExplorationConfig::default();
         OptimizerConfig {
-            k_multi: defaults::K_MULTI,
-            max_iter: defaults::MAX_ITER,
-            node_limit: defaults::NODE_LIMIT,
-            exploration_time_limit: defaults::TIME_LIMIT,
-            cycle_filter: CycleFilter::Efficient,
-            search_threads: default_search_threads(),
-            apply_threads: tensat_egraph::apply_threads_from_env(),
-            exploration: ExplorationMode::from_env().unwrap_or(ExplorationMode::Saturate),
-            guided: GuidedConfig::default(),
-            taso: TasoConfig::default(),
+            k_multi: exploration.k_multi,
+            max_iter: exploration.max_iter,
+            node_limit: exploration.node_limit,
+            exploration_time_limit: exploration.time_limit,
+            cycle_filter: exploration.cycle_filter,
+            search_threads: exploration.search_threads,
+            apply_threads: exploration.apply_threads,
+            exploration: exploration.mode,
+            guided: exploration.guided,
+            taso: exploration.taso,
             extraction: ExtractionMode::from_env().unwrap_or(ExtractionMode::Ilp),
             ilp_cycle_constraints: false,
             ilp_integer_topo_vars: false,
             ilp_time_limit: Duration::from_secs(60),
-            cost_model: CostModel::default(),
+            cost_model: exploration.cost_model,
         }
     }
 }
@@ -176,7 +178,6 @@ impl OptimizerConfig {
             cycle_filter: self.cycle_filter,
             search_threads: self.search_threads,
             apply_threads: self.apply_threads,
-            incremental_multi: false,
             mode: self.exploration,
             cost_model: self.cost_model.clone(),
             guided: self.guided.clone(),
@@ -473,8 +474,9 @@ mod tests {
     #[test]
     fn exploration_limits_have_one_source_of_truth() {
         // The optimizer defaults and the exploration defaults must be the
-        // same values — both now read `explore::defaults` — and the
-        // conversion helper must carry every shared field across.
+        // same values — including the thread counts and the mode, which
+        // may come from the environment — and the conversion helper must
+        // carry every shared field across.
         let opt = OptimizerConfig::default();
         let exp = ExplorationConfig::default();
         assert_eq!(opt.k_multi, exp.k_multi);
@@ -482,6 +484,9 @@ mod tests {
         assert_eq!(opt.node_limit, exp.node_limit);
         assert_eq!(opt.exploration_time_limit, exp.time_limit);
         assert_eq!(opt.cycle_filter, exp.cycle_filter);
+        assert_eq!(opt.search_threads, exp.search_threads);
+        assert_eq!(opt.apply_threads, exp.apply_threads);
+        assert_eq!(opt.exploration, exp.mode);
 
         let derived = OptimizerConfig {
             k_multi: 3,

@@ -55,7 +55,7 @@ fn invariant_checks_forced() -> bool {
 /// interior mutability — in particular [`EGraph::find`] does *not* path
 /// compress — so a clean e-graph can be shared across threads: `EGraph` is
 /// `Sync` whenever `L`, `N`, and `N::Data` are. The parallel e-matching
-/// driver ([`crate::search_all_parallel`]) relies on this.
+/// driver ([`crate::search_all`]) relies on this.
 ///
 /// # Examples
 ///
@@ -751,13 +751,13 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
 
     /// The current watermark: a stamp strictly greater than every e-node
     /// birth and class touch recorded so far. Snapshot it on a *clean*
-    /// e-graph, mutate and [`EGraph::rebuild`], and pass the snapshot to
-    /// [`crate::Pattern::search_since`] to restrict matching to classes
-    /// whose match set may have changed.
+    /// e-graph, mutate and [`EGraph::rebuild`], and pass the snapshot as
+    /// the `since` argument of [`crate::search_all`] to restrict matching to
+    /// classes whose match set may have changed.
     ///
     /// Taking a watermark enables rebuild-time touch propagation (hence
     /// `&mut self`): events from this point on are propagated to transitive
-    /// parent classes, which is what makes `search_since` honest.
+    /// parent classes, which is what makes that restricted search honest.
     pub fn watermark(&mut self) -> u64 {
         self.touch_tracking = true;
         self.ticker
@@ -829,7 +829,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// Re-enabling nodes creates pattern matches that did not exist before,
     /// so the owning classes (and, on a clean e-graph, their transitive
     /// parents) are stamped as touched — watermark-restricted searches
-    /// ([`crate::Pattern::search_since`]) will revisit them.
+    /// ([`crate::search_one`]) will revisit them.
     pub fn clear_filtered(&mut self) {
         let filtered = std::mem::take(&mut self.filtered);
         let stamp = self.ticker;

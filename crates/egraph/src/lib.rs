@@ -19,12 +19,12 @@
 //! * [`Pattern`] / [`Rewrite`] — e-matching with non-linear patterns and
 //!   conditional rewrites. Patterns are compiled once into an abstract
 //!   e-matching machine ([`Program`], de Moura & Bjørner-style) and searched
-//!   through an operator index, with optional watermark-based incremental
-//!   search ([`Pattern::search_since`]); the legacy recursive matcher
-//!   remains available as a differential-testing oracle
-//!   ([`Pattern::search_naive`]). Search can be sharded across threads
-//!   ([`Pattern::search_parallel`], [`search_all_parallel`]) with
-//!   bit-identical results, and rules can push per-variable *analysis
+//!   through an operator index. One batch driver ([`search_all`]) searches
+//!   many compiled queries, optionally restricted to classes touched since
+//!   a watermark and optionally sharded across threads, with results
+//!   bit-identical to the sequential driver ([`search_one`]); the legacy
+//!   recursive matcher remains available as a differential-testing oracle
+//!   ([`Pattern::search_naive`]). Rules can push per-variable *analysis
 //!   guards* into the machine ([`Rewrite::with_guards`],
 //!   [`GuardedProgram`]) so semantically dead bindings are pruned during
 //!   matching instead of by a post-match condition.
@@ -76,20 +76,13 @@ pub use egraph::EGraph;
 pub use extract::{AstDepth, AstSize, CostFunction, DagCostFunction, DagExtractor, Extractor};
 pub use language::{Id, Language, Symbol};
 pub use machine::{
-    Guard, GuardFn, GuardedProgram, Instruction, Program, Reg, SearchQuery, TagMask,
-    PARALLEL_SEARCH_SPAWN_THRESHOLD,
+    search_all, search_all_with_threshold, search_one, Guard, GuardFn, GuardedProgram, Instruction,
+    Program, Reg, SearchQuery, TagMask, PARALLEL_SEARCH_SPAWN_THRESHOLD,
 };
-pub use pattern::{
-    search_all_guarded_parallel, search_all_guarded_since_parallel,
-    search_all_guarded_since_parallel_with_threshold, search_all_parallel,
-    search_all_since_parallel, ENodeOrVar, Pattern, SearchMatches, Subst, Var,
-};
+pub use pattern::{ENodeOrVar, Pattern, SearchMatches, Subst, Var};
 pub use recexpr::RecExpr;
 pub use rewrite::{stage_matches_parallel, ApplyLog, Condition, Rewrite, StagedApp};
-pub use runner::{
-    apply_threads_from_env, explorer_from_env, search_threads_from_env, Iteration, Runner,
-    StopReason,
-};
+pub use runner::{apply_threads_from_env, search_threads_from_env, Iteration, Runner, StopReason};
 pub use unionfind::UnionFind;
 
 /// A tiny arithmetic language exported solely so that doc examples across

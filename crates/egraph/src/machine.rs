@@ -31,10 +31,9 @@
 //! The operator index also yields a natural *parallel* decomposition:
 //! programs are immutable and the e-graph's read path is `Sync`-clean, so
 //! candidate classes can be split into contiguous chunks and searched by
-//! scoped threads, each with its own register stack
-//! ([`Program::search_parallel`] and the batch driver behind
-//! [`crate::search_all_parallel`]). Merging the chunk outputs in chunk
-//! order reproduces the sequential result bit for bit.
+//! scoped threads, each with its own register stack ([`search_all`]).
+//! Merging the chunk outputs in chunk order reproduces the sequential
+//! result ([`search_one`]) bit for bit.
 
 use crate::{Analysis, EGraph, ENodeOrVar, Id, Language, RecExpr, SearchMatches, Subst, Var};
 use std::collections::{HashMap, VecDeque};
@@ -164,8 +163,8 @@ impl<D> std::fmt::Debug for Guard<D> {
     }
 }
 
-/// A `(program, guard table)` pair, the unit the batch search drivers take
-/// (see [`crate::search_all_guarded_parallel`]). An empty table means the
+/// A `(program, guard table)` pair, the unit the search drivers take (see
+/// [`search_all`] and [`search_one`]). An empty table means the
 /// program is unguarded; a guarded program's table must be parallel to its
 /// [`Program::guard_vars`]. Obtained from
 /// [`GuardedProgram::query`] or
@@ -248,8 +247,8 @@ impl<L: Language> Program<L> {
     /// checks an analysis guard on each of `guard_vars` (see
     /// [`Instruction::Guard`]). The emitted `Guard` instructions index into
     /// a guard table that must be supplied — parallel to `guard_vars` — at
-    /// search time ([`Program::search_guarded`]); [`GuardedProgram`] bundles
-    /// the two. Guarded variables that do not occur in the pattern emit no
+    /// search time ([`SearchQuery`]); [`GuardedProgram`] bundles the two.
+    /// Guarded variables that do not occur in the pattern emit no
     /// instruction (their table slot is simply never consulted).
     ///
     /// # Panics
@@ -383,98 +382,6 @@ impl<L: Language> Program<L> {
         self.root_op
     }
 
-    /// Searches the whole e-graph, visiting only classes the operator index
-    /// deems candidates.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the e-graph is clean: searching a dirty e-graph
-    /// silently returns stale or incomplete matches. Panics if the program
-    /// was compiled with guards ([`Program::compile_guarded`]) — those
-    /// require the guard table, via [`Program::search_guarded`] or
-    /// [`GuardedProgram`].
-    pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
-        self.search_since(egraph, 0)
-    }
-
-    /// Like [`Program::search`], but every guarded variable's candidate
-    /// binding must pass the corresponding predicate of `guards` (parallel
-    /// to [`Program::guard_vars`]) — evaluated mid-match by
-    /// [`Instruction::Guard`], pruning the branch before deeper binds run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `guards` does not match the compiled guard variables;
-    /// debug-asserts that the e-graph is clean (see [`Program::search`]).
-    pub fn search_guarded<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        guards: &[Guard<N::Data>],
-    ) -> Vec<SearchMatches> {
-        self.search_since_guarded(egraph, 0, guards)
-    }
-
-    /// Like [`Program::search`], but skips classes untouched since the
-    /// given watermark (a snapshot of [`EGraph::watermark`]).
-    ///
-    /// # Panics
-    ///
-    /// As for [`Program::search`].
-    pub fn search_since<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        watermark: u64,
-    ) -> Vec<SearchMatches> {
-        self.search_since_guarded(egraph, watermark, &[])
-    }
-
-    /// Guarded, watermark-restricted search; see [`Program::search_guarded`]
-    /// and [`Program::search_since`].
-    ///
-    /// # Panics
-    ///
-    /// As for [`Program::search_guarded`].
-    pub fn search_since_guarded<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        watermark: u64,
-        guards: &[Guard<N::Data>],
-    ) -> Vec<SearchMatches> {
-        self.check_guard_table(guards.len());
-        debug_assert!(
-            egraph.is_clean(),
-            "pattern search on a dirty e-graph returns stale matches; call rebuild() first"
-        );
-        let mut machine = Machine::default();
-        let lookups = machine_lookups(egraph, &self.instructions);
-        let mut out = vec![];
-        match self.root_op {
-            Some(op) => {
-                for &id in egraph.classes_with_op(op) {
-                    if egraph.last_touched(id) < watermark {
-                        continue;
-                    }
-                    if let Some(m) = self.search_class(egraph, &mut machine, &lookups, guards, id) {
-                        out.push(m);
-                    }
-                }
-            }
-            None => {
-                for class in egraph.classes() {
-                    if egraph.last_touched(class.id) < watermark {
-                        continue;
-                    }
-                    if let Some(m) =
-                        self.search_class(egraph, &mut machine, &lookups, guards, class.id)
-                    {
-                        out.push(m);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Asserts that the supplied guard table is parallel to the compiled
     /// guard variables — a mismatch means guarded and unguarded entry
     /// points were mixed up, which would silently change match sets.
@@ -483,71 +390,11 @@ impl<L: Language> Program<L> {
             supplied,
             self.guard_vars.len(),
             "guard table size mismatch: program compiled with {} guarded variable(s), \
-             search called with {} predicate(s) — use GuardedProgram (or the \
-             *_guarded entry points) for guard-compiled programs",
+             search called with {} predicate(s) — search guard-compiled programs \
+             through GuardedProgram::query",
             self.guard_vars.len(),
             supplied,
         );
-    }
-
-    /// Parallel version of [`Program::search`]: candidate classes are split
-    /// into contiguous chunks sharded across `n_threads` scoped threads,
-    /// each running the (immutable) program with its own register stack.
-    /// Chunk outputs are merged in chunk order, so the result is
-    /// bit-identical to the sequential search. `n_threads <= 1` runs the
-    /// sequential driver.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the e-graph is clean (see [`Program::search`]).
-    pub fn search_parallel<N>(&self, egraph: &EGraph<L, N>, n_threads: usize) -> Vec<SearchMatches>
-    where
-        L: Sync,
-        N: Analysis<L> + Sync,
-        N::Data: Sync,
-    {
-        self.search_since_parallel(egraph, 0, n_threads)
-    }
-
-    /// Parallel version of [`Program::search_since`]; see
-    /// [`Program::search_parallel`].
-    pub fn search_since_parallel<N>(
-        &self,
-        egraph: &EGraph<L, N>,
-        watermark: u64,
-        n_threads: usize,
-    ) -> Vec<SearchMatches>
-    where
-        L: Sync,
-        N: Analysis<L> + Sync,
-        N::Data: Sync,
-    {
-        self.search_since_guarded_parallel(egraph, watermark, &[], n_threads)
-    }
-
-    /// Guarded version of [`Program::search_since_parallel`]: the parallel
-    /// sharded driver with a guard table (see [`Program::search_guarded`]).
-    /// Bit-identical to [`Program::search_since_guarded`] for every thread
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Program::search_guarded`].
-    pub fn search_since_guarded_parallel<N>(
-        &self,
-        egraph: &EGraph<L, N>,
-        watermark: u64,
-        guards: &[Guard<N::Data>],
-        n_threads: usize,
-    ) -> Vec<SearchMatches>
-    where
-        L: Sync,
-        N: Analysis<L> + Sync,
-        N::Data: Sync,
-    {
-        let mut out =
-            search_programs_since_parallel(&[(self, guards)], egraph, watermark, n_threads);
-        out.pop().expect("one program in, one match list out")
     }
 
     /// The classes this program's search visits, in the deterministic order
@@ -568,26 +415,6 @@ impl<L: Language> Program<L> {
                 .map(|class| class.id)
                 .collect(),
         }
-    }
-
-    /// Searches a single e-class.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the e-graph is clean (see [`Program::search`]).
-    pub fn search_eclass<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        eclass: Id,
-    ) -> Option<SearchMatches> {
-        self.check_guard_table(0);
-        debug_assert!(
-            egraph.is_clean(),
-            "pattern search on a dirty e-graph returns stale matches; call rebuild() first"
-        );
-        let mut machine = Machine::default();
-        let lookups = machine_lookups(egraph, &self.instructions);
-        self.search_class(egraph, &mut machine, &lookups, &[], egraph.find(eclass))
     }
 
     fn search_class<N: Analysis<L>>(
@@ -686,42 +513,10 @@ impl<L: Language, D> GuardedProgram<L, D> {
         &self.guards
     }
 
-    /// The `(program, guard table)` pair in the shape the batch search
-    /// drivers take (see
-    /// [`search_all_guarded_parallel`](crate::search_all_guarded_parallel)).
+    /// The `(program, guard table)` pair the search drivers take (see
+    /// [`search_all`] and [`search_one`]).
     pub fn query(&self) -> SearchQuery<'_, L, D> {
         (&self.program, &self.guards)
-    }
-
-    /// Guarded search over the whole e-graph; see
-    /// [`Program::search_guarded`].
-    pub fn search<N>(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches>
-    where
-        N: Analysis<L, Data = D>,
-    {
-        self.program.search_guarded(egraph, &self.guards)
-    }
-
-    /// Guarded watermark-restricted search; see
-    /// [`Program::search_since_guarded`].
-    pub fn search_since<N>(&self, egraph: &EGraph<L, N>, watermark: u64) -> Vec<SearchMatches>
-    where
-        N: Analysis<L, Data = D>,
-    {
-        self.program
-            .search_since_guarded(egraph, watermark, &self.guards)
-    }
-
-    /// Guarded parallel search, bit-identical to [`GuardedProgram::search`];
-    /// see [`Program::search_since_guarded_parallel`].
-    pub fn search_parallel<N>(&self, egraph: &EGraph<L, N>, n_threads: usize) -> Vec<SearchMatches>
-    where
-        L: Sync,
-        N: Analysis<L, Data = D> + Sync,
-        D: Sync,
-    {
-        self.program
-            .search_since_guarded_parallel(egraph, 0, &self.guards, n_threads)
     }
 }
 
@@ -749,27 +544,73 @@ const CHUNKS_PER_THREAD: usize = 8;
 /// or above the threshold keep the bit-identical chunk-ordered merge path.
 pub const PARALLEL_SEARCH_SPAWN_THRESHOLD: usize = 2048;
 
-/// Searches several compiled programs — each paired with its guard table
-/// (empty for unguarded programs) — over one e-graph, sharding all their
-/// candidate classes across `n_threads` scoped threads.
+/// Searches one compiled program, paired with its guard table (empty for
+/// an unguarded program), over the e-graph on the calling thread: the
+/// sequential driver, and the reference every other entry point is
+/// bit-identical to. It has no `Sync` bounds, so languages and analyses
+/// holding non-`Sync` data can still search.
 ///
-/// Work items — contiguous chunks of each program's candidate list — go
-/// into a single atomic queue, so threads load-balance *across* programs:
-/// one hot rule's chunks spread over every thread instead of serializing
-/// the batch. Each thread owns a private register stack; the shared e-graph
-/// is only read (its search accessors are `Sync`-clean) and the guard
-/// predicates are pure `Sync` closures. Chunk outputs are written to
-/// per-item slots and merged in item order, which reproduces the sequential
-/// per-program match lists bit for bit.
+/// Classes untouched since `since` (a snapshot of [`EGraph::watermark`]
+/// taken on an earlier clean e-graph) are skipped; `0` searches every
+/// candidate class. Touch stamps propagate to transitive parents during
+/// [`EGraph::rebuild`], so the result is every match rooted in a touched
+/// class: a superset of the matches created since the snapshot. Matches in
+/// untouched classes are skipped but never lost, because the earlier
+/// search returned them.
+///
+/// # Panics
+///
+/// Panics if the guard table does not match the program's
+/// [`Program::guard_vars`]. Debug-asserts that the e-graph is clean:
+/// searching a dirty e-graph silently returns stale or incomplete matches,
+/// so callers must [`EGraph::rebuild`] first.
+pub fn search_one<L: Language, N: Analysis<L>>(
+    query: SearchQuery<'_, L, N::Data>,
+    egraph: &EGraph<L, N>,
+    since: u64,
+) -> Vec<SearchMatches> {
+    let (program, guards) = query;
+    program.check_guard_table(guards.len());
+    debug_assert!(
+        egraph.is_clean(),
+        "pattern search on a dirty e-graph returns stale matches; call rebuild() first"
+    );
+    let mut machine = Machine::default();
+    let lookups = machine_lookups(egraph, &program.instructions);
+    program
+        .candidate_classes(egraph, since)
+        .into_iter()
+        .filter_map(|id| program.search_class(egraph, &mut machine, &lookups, guards, id))
+        .collect()
+}
+
+/// Searches a batch of `(program, guard table)` queries over one e-graph,
+/// returning one match list per query, each bit-identical to
+/// [`search_one`] on that query. `since` restricts every query to classes
+/// touched since a watermark, as in [`search_one`].
+///
+/// With `n_threads > 1`, the candidate classes of all queries are sharded
+/// across scoped threads. Work items — contiguous chunks of each program's
+/// candidate list — go into a single atomic queue, so threads
+/// load-balance *across* programs: one hot rule's chunks spread over
+/// every thread instead of serializing the batch. Each thread owns a
+/// private register stack; the shared e-graph is only read (its search
+/// accessors are `Sync`-clean) and the guard predicates are pure `Sync`
+/// closures. Chunk outputs are written to per-item slots and merged in
+/// item order, which reproduces the sequential per-program match lists bit
+/// for bit.
 ///
 /// `n_threads <= 1`, an empty candidate set, or a batch below
-/// `spawn_threshold` candidates (see [`PARALLEL_SEARCH_SPAWN_THRESHOLD`])
-/// runs the sequential driver directly — identical behavior, no thread
-/// overhead.
-pub(crate) fn search_programs_since_parallel<L, N>(
+/// [`PARALLEL_SEARCH_SPAWN_THRESHOLD`] candidates runs [`search_one`] per
+/// query — identical behavior, no thread overhead.
+///
+/// # Panics
+///
+/// As for [`search_one`].
+pub fn search_all<L, N>(
     queries: &[SearchQuery<'_, L, N::Data>],
     egraph: &EGraph<L, N>,
-    watermark: u64,
+    since: u64,
     n_threads: usize,
 ) -> Vec<Vec<SearchMatches>>
 where
@@ -777,22 +618,24 @@ where
     N: Analysis<L> + Sync,
     N::Data: Sync,
 {
-    search_programs_since_parallel_with_threshold(
+    search_all_with_threshold(
         queries,
         egraph,
-        watermark,
+        since,
         n_threads,
         PARALLEL_SEARCH_SPAWN_THRESHOLD,
     )
 }
 
-/// [`search_programs_since_parallel`] with an explicit spawn threshold —
-/// `0` forces the parallel driver for any nonempty batch, `usize::MAX`
-/// forces the sequential driver; both produce bit-identical results.
-pub(crate) fn search_programs_since_parallel_with_threshold<L, N>(
+/// [`search_all`] with an explicit spawn threshold in place of
+/// [`PARALLEL_SEARCH_SPAWN_THRESHOLD`], so tests can pin every dispatch:
+/// `0` forces the parallel driver for any nonempty batch and `usize::MAX`
+/// forces the sequential driver. Every dispatch produces bit-identical
+/// match lists.
+pub fn search_all_with_threshold<L, N>(
     queries: &[SearchQuery<'_, L, N::Data>],
     egraph: &EGraph<L, N>,
-    watermark: u64,
+    since: u64,
     n_threads: usize,
     spawn_threshold: usize,
 ) -> Vec<Vec<SearchMatches>>
@@ -801,13 +644,14 @@ where
     N: Analysis<L> + Sync,
     N::Data: Sync,
 {
-    // The sequential mode IS the sequential driver — no candidate vectors,
-    // no duplicated iteration logic that could drift from `search_since`.
-    if n_threads <= 1 {
-        return queries
+    let sequential = || {
+        queries
             .iter()
-            .map(|(p, g)| p.search_since_guarded(egraph, watermark, g))
-            .collect();
+            .map(|&query| search_one(query, egraph, since))
+            .collect()
+    };
+    if n_threads <= 1 {
+        return sequential();
     }
     for (p, g) in queries {
         p.check_guard_table(g.len());
@@ -818,7 +662,7 @@ where
     );
     let candidates: Vec<Vec<Id>> = queries
         .iter()
-        .map(|(p, _)| p.candidate_classes(egraph, watermark))
+        .map(|(p, _)| p.candidate_classes(egraph, since))
         .collect();
     let total: usize = candidates.iter().map(Vec::len).sum();
 
@@ -826,10 +670,7 @@ where
     // win back — run them on the sequential driver (which is the
     // correctness reference, so results are identical by construction).
     if total < spawn_threshold {
-        return queries
-            .iter()
-            .map(|(p, g)| p.search_since_guarded(egraph, watermark, g))
-            .collect();
+        return sequential();
     }
 
     // Clamp the worker count: more workers than candidate classes would
@@ -841,10 +682,7 @@ where
     let max_workers = std::thread::available_parallelism().map_or(4, |n| n.get() * 4);
     let n_threads = n_threads.min(max_workers).min(total.max(1));
     if n_threads == 1 {
-        return queries
-            .iter()
-            .map(|(p, g)| p.search_since_guarded(egraph, watermark, g))
-            .collect();
+        return sequential();
     }
 
     // Ground-term lookups are a per-(program, e-graph) constant: resolve
@@ -1112,7 +950,10 @@ mod tests {
         let two = eg.add(Math::Num(2));
         eg.add(Math::Mul([eg.find(two), two]));
         eg.rebuild();
-        assert_eq!(program.search(&eg).len(), eg.number_of_classes());
+        assert_eq!(
+            search_one((&program, &[]), &eg, 0).len(),
+            eg.number_of_classes()
+        );
     }
 
     #[test]
@@ -1124,7 +965,7 @@ mod tests {
         eg.add(Math::Mul([mul, two]));
         eg.rebuild();
         let p = mul_by_two();
-        let machine = p.program().search(&eg);
+        let machine = p.search(&eg);
         let naive = p.search_naive(&eg);
         assert_eq!(machine.len(), naive.len());
         for (m, n) in machine.iter().zip(&naive) {
@@ -1141,11 +982,11 @@ mod tests {
         eg.add(Math::Mul([a, two]));
         eg.rebuild();
         let p = mul_by_two();
-        assert_eq!(p.program().search(&eg).len(), 1);
+        assert_eq!(p.search(&eg).len(), 1);
         // Filtering the literal 2 kills the ground lookup, exactly like the
         // naive matcher skipping the filtered node.
         eg.filter_node(&Math::Num(2));
-        assert_eq!(p.program().search(&eg).len(), 0);
+        assert_eq!(p.search(&eg).len(), 0);
         assert_eq!(p.search_naive(&eg).len(), 0);
     }
 
@@ -1164,11 +1005,11 @@ mod tests {
         }
         eg.rebuild();
         let p = mul_by_two();
-        let sequential = p.program().search(&eg);
+        let sequential = p.search(&eg);
         assert!(!sequential.is_empty());
         for threads in [1, 2, 3, 4, 8, 64, 1000] {
-            let parallel = p.program().search_parallel(&eg, threads);
-            assert_eq!(sequential, parallel, "thread count {threads}");
+            let parallel = search_all_with_threshold(&[(p.program(), &[])], &eg, 0, threads, 0);
+            assert_eq!(parallel, vec![sequential.clone()], "thread count {threads}");
         }
     }
 
@@ -1199,11 +1040,11 @@ mod tests {
             (cold.program(), &[] as &[_]),
             (var_root.program(), &[] as &[_]),
         ];
-        let batch = search_programs_since_parallel(&programs, &eg, 0, 4);
+        let batch = search_all_with_threshold(&programs, &eg, 0, 4, 0);
         assert_eq!(batch.len(), 3);
-        assert_eq!(batch[0], hot.program().search(&eg));
-        assert_eq!(batch[1], cold.program().search(&eg));
-        assert_eq!(batch[2], var_root.program().search(&eg));
+        assert_eq!(batch[0], hot.search(&eg));
+        assert_eq!(batch[1], cold.search(&eg));
+        assert_eq!(batch[2], var_root.search(&eg));
     }
 
     /// Test analysis: a class's data is the largest integer literal it
@@ -1300,10 +1141,11 @@ mod tests {
             })
             .collect();
         assert_eq!(expected.len(), 1);
-        assert_eq!(guarded.search(&eg), expected);
+        assert_eq!(search_one(guarded.query(), &eg, 0), expected);
         // Parallel guarded search is bit-identical too.
         for threads in [1, 2, 4, 8] {
-            assert_eq!(guarded.search_parallel(&eg, threads), expected);
+            let parallel = search_all_with_threshold(&[guarded.query()], &eg, 0, threads, 0);
+            assert_eq!(parallel, vec![expected.clone()]);
         }
     }
 
@@ -1326,7 +1168,7 @@ mod tests {
         let guard: Guard<i64> = Guard::tags(1 << 1);
         assert!(guard.pred().is_none(), "kind-only guard carries no dyn fn");
         let guarded = GuardedProgram::compile(&pattern.ast, &[(Var::new("x"), guard)]);
-        let ms = guarded.search(&eg);
+        let ms = search_one(guarded.query(), &eg, 0);
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].eclass, eg.find(kept));
     }
@@ -1344,7 +1186,7 @@ mod tests {
         let big = Guard::from_fn(|d: &i64| *d >= 3);
         let guarded =
             GuardedProgram::compile(&pattern.ast, &[(Var::new("x"), even), (Var::new("x"), big)]);
-        let ms = guarded.search(&eg);
+        let ms = search_one(guarded.query(), &eg, 0);
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].substs[0][Var::new("x")], eg.find(four));
     }
@@ -1356,7 +1198,7 @@ mod tests {
         eg.add(sym("a"));
         eg.rebuild();
         let program = Program::compile_guarded(&mul_by_two().ast, &[Var::new("x")]);
-        let _ = program.search(&eg);
+        let _ = search_one((&program, &[]), &eg, 0);
     }
 
     /// The clean check is a `debug_assert!`: the panic only exists in debug
@@ -1370,6 +1212,6 @@ mod tests {
         let b = eg.add(sym("b"));
         eg.union(a, b);
         let p = mul_by_two();
-        let _ = p.program().search(&eg);
+        let _ = p.search(&eg);
     }
 }

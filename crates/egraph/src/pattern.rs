@@ -1,7 +1,7 @@
 //! Patterns over a [`Language`]: terms with variables, searched for in an
 //! e-graph (e-matching) and instantiated to apply rewrites.
 
-use crate::machine::{Program, SearchQuery};
+use crate::machine::{search_one, Program};
 use crate::{Analysis, EGraph, Id, Language, RecExpr, Symbol};
 use std::fmt::{self, Display};
 use std::sync::OnceLock;
@@ -258,75 +258,7 @@ impl<L: Language> Pattern<L> {
     /// searching a dirty e-graph silently returns stale or incomplete
     /// matches, so callers must [`EGraph::rebuild`] first.
     pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
-        self.program().search(egraph)
-    }
-
-    /// Like [`Pattern::search`], but skips e-classes whose match set cannot
-    /// have changed since `watermark`, a snapshot of [`EGraph::watermark`]
-    /// taken on an earlier clean e-graph. Touch stamps are propagated to
-    /// transitive parents during [`EGraph::rebuild`], so a class is revisited
-    /// whenever *any* class reachable from it gained nodes or was merged.
-    ///
-    /// The result is every match rooted in a *touched* class — a superset
-    /// of the matches created since the snapshot (pre-existing matches in a
-    /// touched class are returned again). Matches in untouched classes are
-    /// skipped but never lost: they were returned by the earlier search.
-    pub fn search_since<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        watermark: u64,
-    ) -> Vec<SearchMatches> {
-        self.program().search_since(egraph, watermark)
-    }
-
-    /// Parallel version of [`Pattern::search`]: shards the candidate
-    /// classes (from the operator index) into contiguous chunks searched by
-    /// `n_threads` scoped threads, then merges the chunk outputs in chunk
-    /// order — the result is bit-identical to [`Pattern::search`].
-    /// `n_threads <= 1` runs the sequential driver. To search many patterns
-    /// with cross-pattern load balancing, prefer [`crate::search_all_parallel`].
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the e-graph is clean (see [`Pattern::search`]).
-    pub fn search_parallel<N>(&self, egraph: &EGraph<L, N>, n_threads: usize) -> Vec<SearchMatches>
-    where
-        L: Sync,
-        N: Analysis<L> + Sync,
-        N::Data: Sync,
-    {
-        self.program().search_parallel(egraph, n_threads)
-    }
-
-    /// Parallel version of [`Pattern::search_since`]; see
-    /// [`Pattern::search_parallel`].
-    pub fn search_since_parallel<N>(
-        &self,
-        egraph: &EGraph<L, N>,
-        watermark: u64,
-        n_threads: usize,
-    ) -> Vec<SearchMatches>
-    where
-        L: Sync,
-        N: Analysis<L> + Sync,
-        N::Data: Sync,
-    {
-        self.program()
-            .search_since_parallel(egraph, watermark, n_threads)
-    }
-
-    /// Searches a single e-class for matches of this pattern's root, using
-    /// the compiled e-matching machine.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the e-graph is clean (see [`Pattern::search`]).
-    pub fn search_eclass<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        eclass: Id,
-    ) -> Option<SearchMatches> {
-        self.program().search_eclass(egraph, eclass)
+        search_one((self.program(), &[]), egraph, 0)
     }
 
     /// Reference implementation of [`Pattern::search`]: the legacy
@@ -344,8 +276,8 @@ impl<L: Language> Pattern<L> {
         out
     }
 
-    /// Reference implementation of [`Pattern::search_eclass`] (see
-    /// [`Pattern::search_naive`]).
+    /// The matches of the pattern root inside one e-class, by the legacy
+    /// recursive matcher (see [`Pattern::search_naive`]).
     pub fn search_eclass_naive<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
@@ -465,120 +397,6 @@ impl<L: Language> Display for Pattern<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.ast)
     }
-}
-
-/// Searches a whole batch of patterns over one e-graph in parallel,
-/// returning one match list per pattern (same order as `patterns`).
-///
-/// All patterns' candidate-class chunks share a single work queue, so
-/// threads load-balance *across* rules: one rule with a huge candidate set
-/// does not serialize the batch. Every returned match list is bit-identical
-/// to the corresponding sequential [`Pattern::search`]. `n_threads <= 1`
-/// runs the sequential driver for each pattern in order.
-///
-/// # Panics
-///
-/// Debug-asserts that the e-graph is clean (see [`Pattern::search`]).
-pub fn search_all_parallel<L, N>(
-    patterns: &[&Pattern<L>],
-    egraph: &EGraph<L, N>,
-    n_threads: usize,
-) -> Vec<Vec<SearchMatches>>
-where
-    L: Language + Sync,
-    N: Analysis<L> + Sync,
-    N::Data: Sync,
-{
-    search_all_since_parallel(patterns, egraph, 0, n_threads)
-}
-
-/// Watermark-restricted version of [`search_all_parallel`]: classes
-/// untouched since `watermark` are skipped per pattern, exactly as
-/// [`Pattern::search_since`] does.
-pub fn search_all_since_parallel<L, N>(
-    patterns: &[&Pattern<L>],
-    egraph: &EGraph<L, N>,
-    watermark: u64,
-    n_threads: usize,
-) -> Vec<Vec<SearchMatches>>
-where
-    L: Language + Sync,
-    N: Analysis<L> + Sync,
-    N::Data: Sync,
-{
-    let queries: Vec<SearchQuery<'_, L, N::Data>> = patterns
-        .iter()
-        .map(|p| (p.program(), &[] as &[_]))
-        .collect();
-    crate::machine::search_programs_since_parallel(&queries, egraph, watermark, n_threads)
-}
-
-/// Guarded version of [`search_all_parallel`]: searches a batch of compiled
-/// `(program, guard table)` queries — e.g. built from
-/// [`GuardedProgram::query`](crate::GuardedProgram::query) or
-/// [`Rewrite::searcher_query`](crate::Rewrite::searcher_query); an empty
-/// table means the program is unguarded — returning one match list per
-/// query, each bit-identical to that query's sequential search.
-///
-/// # Panics
-///
-/// Panics if a guard table does not match its program's guarded variables;
-/// debug-asserts that the e-graph is clean (see [`Pattern::search`]).
-pub fn search_all_guarded_parallel<L, N>(
-    queries: &[SearchQuery<'_, L, N::Data>],
-    egraph: &EGraph<L, N>,
-    n_threads: usize,
-) -> Vec<Vec<SearchMatches>>
-where
-    L: Language + Sync,
-    N: Analysis<L> + Sync,
-    N::Data: Sync,
-{
-    search_all_guarded_since_parallel(queries, egraph, 0, n_threads)
-}
-
-/// Watermark-restricted version of [`search_all_guarded_parallel`].
-pub fn search_all_guarded_since_parallel<L, N>(
-    queries: &[SearchQuery<'_, L, N::Data>],
-    egraph: &EGraph<L, N>,
-    watermark: u64,
-    n_threads: usize,
-) -> Vec<Vec<SearchMatches>>
-where
-    L: Language + Sync,
-    N: Analysis<L> + Sync,
-    N::Data: Sync,
-{
-    crate::machine::search_programs_since_parallel(queries, egraph, watermark, n_threads)
-}
-
-/// [`search_all_guarded_since_parallel`] with an explicit spawn threshold
-/// instead of the default
-/// [`PARALLEL_SEARCH_SPAWN_THRESHOLD`](crate::PARALLEL_SEARCH_SPAWN_THRESHOLD):
-/// batches with fewer candidate classes run on the sequential driver even
-/// when `n_threads > 1`, because thread spawn + merge overhead exceeds the
-/// work. `0` forces the parallel driver for any nonempty batch and
-/// `usize::MAX` forces the sequential driver; every dispatch produces
-/// bit-identical match lists, which the regression tests pin.
-pub fn search_all_guarded_since_parallel_with_threshold<L, N>(
-    queries: &[SearchQuery<'_, L, N::Data>],
-    egraph: &EGraph<L, N>,
-    watermark: u64,
-    n_threads: usize,
-    spawn_threshold: usize,
-) -> Vec<Vec<SearchMatches>>
-where
-    L: Language + Sync,
-    N: Analysis<L> + Sync,
-    N::Data: Sync,
-{
-    crate::machine::search_programs_since_parallel_with_threshold(
-        queries,
-        egraph,
-        watermark,
-        n_threads,
-        spawn_threshold,
-    )
 }
 
 #[cfg(test)]
@@ -765,19 +583,6 @@ mod tests {
         let _ = mul_by_two_pattern().search(&eg);
     }
 
-    /// Debug-build-only for the same reason as
-    /// [`search_on_dirty_egraph_asserts`].
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "dirty")]
-    fn search_eclass_on_dirty_egraph_asserts() {
-        let mut eg: EGraph<Math, ()> = EGraph::new(());
-        let a = eg.add(sym("a"));
-        let b = eg.add(sym("b"));
-        eg.union(a, b);
-        let _ = mul_by_two_pattern().search_eclass(&eg, a);
-    }
-
     /// Searching with a fresh watermark returns nothing; after a union deep
     /// below a potential match root, the root class must be revisited even
     /// though its own node list never changed (touch propagation).
@@ -801,7 +606,7 @@ mod tests {
 
         let watermark = eg.watermark();
         assert!(
-            pat.search_since(&eg, watermark).is_empty(),
+            search_one((pat.program(), &[]), &eg, watermark).is_empty(),
             "nothing touched since the watermark"
         );
 
@@ -813,7 +618,7 @@ mod tests {
         eg.union(p, sum);
         eg.rebuild();
 
-        let ms = pat.search_since(&eg, watermark);
+        let ms = search_one((pat.program(), &[]), &eg, watermark);
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].eclass, eg.find(root));
         assert_eq!(ms[0].substs[0][Var::new("x")], eg.find(a));

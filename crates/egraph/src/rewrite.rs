@@ -3,7 +3,7 @@
 //! per-variable analysis guards that push the condition's per-variable
 //! part into the e-matching machine.
 
-use crate::machine::{Guard, GuardedProgram, SearchQuery};
+use crate::machine::{search_one, Guard, GuardedProgram, SearchQuery};
 use crate::pattern::ENodeOrVar;
 use crate::{Analysis, EGraph, Id, Language, Pattern, SearchMatches, Subst, Var};
 use std::fmt;
@@ -143,10 +143,9 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
         self.guarded.as_ref()
     }
 
-    /// The `(program, guard table)` pair the batch search drivers take
-    /// (see [`crate::search_all_guarded_parallel`]): the guarded program
-    /// when the rule carries guards, otherwise the plain pattern program
-    /// with an empty table.
+    /// The `(program, guard table)` pair the search drivers take (see
+    /// [`crate::search_all`]): the guarded program when the rule carries
+    /// guards, otherwise the plain pattern program with an empty table.
     pub fn searcher_query(&self) -> SearchQuery<'_, L, N::Data> {
         match &self.guarded {
             Some(g) => g.query(),
@@ -158,20 +157,7 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
     /// guarded program when the rule carries guards (see
     /// [`Rewrite::with_guards`]).
     pub fn search(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
-        match &self.guarded {
-            Some(g) => g.search(egraph),
-            None => self.searcher.search(egraph),
-        }
-    }
-
-    /// Searches only e-classes touched since `watermark` (a snapshot of
-    /// [`EGraph::watermark`]); see [`crate::Pattern::search_since`]. Uses
-    /// the guarded program when the rule carries guards.
-    pub fn search_since(&self, egraph: &EGraph<L, N>, watermark: u64) -> Vec<SearchMatches> {
-        match &self.guarded {
-            Some(g) => g.search_since(egraph, watermark),
-            None => self.searcher.search_since(egraph, watermark),
-        }
+        search_one(self.searcher_query(), egraph, 0)
     }
 
     /// Applies the rewrite to the given matches, returning the number of

@@ -1,7 +1,7 @@
 //! The [`Runner`]: drives equality saturation until saturation or a limit
 //! is hit, recording per-iteration statistics.
 
-use crate::pattern::search_all_guarded_since_parallel;
+use crate::machine::{search_all, search_one};
 use crate::rewrite::stage_matches_parallel;
 use crate::{Analysis, EGraph, Language, RecExpr, Rewrite, SearchMatches};
 use std::fmt::Debug;
@@ -33,20 +33,6 @@ pub fn apply_threads_from_env() -> Option<usize> {
 
 fn parse_thread_count(raw: &str) -> Option<usize> {
     raw.trim().parse().ok().filter(|&n| n >= 1)
-}
-
-/// Reads the `TENSAT_EXPLORER` environment variable: the name of the
-/// exploration strategy harnesses and tests want forced, mirroring
-/// `TENSAT_EXTRACTOR` for extraction. Returns the raw trimmed name (or
-/// `None` when unset or empty); parsing names into strategies is the
-/// caller's job (`tensat_core::ExplorationMode::from_name`), which keeps
-/// this crate agnostic of the strategy set. Read uncached, like
-/// `TENSAT_SEARCH_THREADS`, so it can vary per run.
-pub fn explorer_from_env() -> Option<String> {
-    std::env::var("TENSAT_EXPLORER")
-        .ok()
-        .map(|v| v.trim().to_string())
-        .filter(|v| !v.is_empty())
 }
 
 /// Why the runner stopped.
@@ -185,7 +171,7 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
 
     /// Enables incremental search: after the first iteration, each rewrite
     /// only searches e-classes touched since the previous iteration's
-    /// watermark (see [`crate::Pattern::search_since`]). Matches that
+    /// watermark (see [`crate::search_one`]). Matches that
     /// already existed were applied (or had their condition evaluated) in
     /// an earlier iteration and are not revisited.
     ///
@@ -208,7 +194,7 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
     /// Sets the number of threads used by the e-matching search phase.
     /// `1` (the default unless `TENSAT_SEARCH_THREADS` is set) runs the
     /// sequential driver; larger values shard candidate classes across
-    /// scoped threads via [`crate::search_all_parallel`] with bit-identical
+    /// scoped threads via [`crate::search_all`] with bit-identical
     /// results, so this only changes wall-clock time, never the outcome.
     pub fn with_search_threads(mut self, n_threads: usize) -> Self {
         self.search_threads = n_threads.max(1);
@@ -311,12 +297,7 @@ where
                 // program when it carries analysis guards, its plain
                 // pattern program otherwise.
                 let queries: Vec<_> = rewrites.iter().map(|rw| rw.searcher_query()).collect();
-                search_all_guarded_since_parallel(
-                    &queries,
-                    egraph,
-                    watermark.unwrap_or(0),
-                    n_threads,
-                )
+                search_all(&queries, egraph, watermark.unwrap_or(0), n_threads)
             },
             |egraph, rewrites, all_matches, node_limit| {
                 let batch: Vec<_> = rewrites
@@ -338,10 +319,7 @@ fn sequential_search<L: Language, N: Analysis<L>>(
 ) -> Vec<Vec<crate::SearchMatches>> {
     rewrites
         .iter()
-        .map(|rw| match watermark {
-            Some(w) => rw.search_since(egraph, w),
-            None => rw.search(egraph),
-        })
+        .map(|rw| search_one(rw.searcher_query(), egraph, watermark.unwrap_or(0)))
         .collect()
 }
 

@@ -5,10 +5,9 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use tensat_egraph::doctest_lang::SimpleMath as Math;
 use tensat_egraph::{
-    search_all_guarded_since_parallel, search_all_guarded_since_parallel_with_threshold,
-    search_all_parallel, stage_matches_parallel, Analysis, AstSize, DidMerge, EGraph, ENodeOrVar,
-    Extractor, Guard, GuardedProgram, Id, Language, Pattern, RecExpr, Rewrite, SearchMatches,
-    Subst, Symbol, Var,
+    search_all, search_all_with_threshold, search_one, stage_matches_parallel, Analysis, AstSize,
+    DidMerge, EGraph, ENodeOrVar, Extractor, Guard, GuardedProgram, Id, Language, Pattern, RecExpr,
+    Rewrite, SearchMatches, Subst, Symbol, Var,
 };
 
 /// A random expression generator: a sequence of build steps referencing
@@ -177,8 +176,8 @@ proptest! {
     /// Differential test of the parallel search driver against the
     /// sequential machine, mirroring the machine-vs-naive oracle above:
     /// on random e-graphs (with random unions and a random filter set) and
-    /// random patterns — including non-linear ones — `search_parallel(n)`
-    /// must return *bit-identical* match lists (same class order, same
+    /// random patterns — including non-linear ones — the batch driver
+    /// forced onto its worker path must return *bit-identical* match lists (same class order, same
     /// substitution order) for every thread count 1..=8, not merely
     /// set-equal ones.
     #[test]
@@ -207,7 +206,9 @@ proptest! {
         }
         let pattern = build_pattern(&pat_steps);
         let sequential = pattern.search(&eg);
-        let parallel = pattern.search_parallel(&eg, n_threads);
+        let parallel =
+            search_all_with_threshold(&[(pattern.program(), &[])], &eg, 0, n_threads, 0)
+                .remove(0);
         prop_assert_eq!(&sequential, &parallel);
         // And therefore also set-equal to the naive oracle.
         prop_assert_eq!(normalize(&eg, &parallel), normalize(&eg, &pattern.search_naive(&eg)));
@@ -227,8 +228,11 @@ proptest! {
         eg.add_expr(&expr);
         eg.rebuild();
         let patterns: Vec<Pattern<Math>> = pats.iter().map(|p| build_pattern(p)).collect();
-        let refs: Vec<&Pattern<Math>> = patterns.iter().collect();
-        let batch = search_all_parallel(&refs, &eg, n_threads);
+        let queries: Vec<_> = patterns
+            .iter()
+            .map(|p| (p.program(), &[] as &[Guard<()>]))
+            .collect();
+        let batch = search_all(&queries, &eg, 0, n_threads);
         prop_assert_eq!(batch.len(), patterns.len());
         for (pattern, got) in patterns.iter().zip(&batch) {
             prop_assert_eq!(&pattern.search(&eg), got);
@@ -259,16 +263,10 @@ proptest! {
             .iter()
             .map(|p| (p.program(), &[] as &[Guard<()>]))
             .collect();
-        let dispatched = search_all_guarded_since_parallel(&queries, &eg, 0, n_threads);
-        let forced_parallel =
-            search_all_guarded_since_parallel_with_threshold(&queries, &eg, 0, n_threads, 0);
-        let forced_sequential = search_all_guarded_since_parallel_with_threshold(
-            &queries,
-            &eg,
-            0,
-            n_threads,
-            usize::MAX,
-        );
+        let dispatched = search_all(&queries, &eg, 0, n_threads);
+        let forced_parallel = search_all_with_threshold(&queries, &eg, 0, n_threads, 0);
+        let forced_sequential =
+            search_all_with_threshold(&queries, &eg, 0, n_threads, usize::MAX);
         prop_assert_eq!(&dispatched, &forced_parallel);
         prop_assert_eq!(&dispatched, &forced_sequential);
         for (pattern, got) in patterns.iter().zip(&dispatched) {
@@ -279,7 +277,7 @@ proptest! {
     /// Honesty of watermark-restricted incremental search: after arbitrary
     /// unions, a full search returns exactly the union of (a) the matches
     /// already present before the mutation (mapped through the union-find)
-    /// and (b) the matches found by `search_since` from the pre-mutation
+    /// and (b) the matches found by a search since the pre-mutation
     /// watermark. If touch propagation missed an ancestor class, (b) would
     /// lose a match and the equality would fail.
     #[test]
@@ -305,7 +303,7 @@ proptest! {
         eg.rebuild();
 
         let full = normalize(&eg, &pattern.search(&eg));
-        let since = pattern.search_since(&eg, watermark);
+        let since = search_one((pattern.program(), &[]), &eg, watermark);
         // union of `before` (re-canonicalized) and `since`:
         let mut combined = normalize(&eg, &before);
         for (class, substs) in normalize(&eg, &since) {
@@ -620,9 +618,10 @@ proptest! {
 
         let unguarded = pattern.search(&eg);
         let expected = filter_by_guards(&eg, &unguarded, &guards);
-        let got = guarded.search(&eg);
+        let got = search_one(guarded.query(), &eg, 0);
         prop_assert_eq!(&got, &expected);
-        prop_assert_eq!(guarded.search_parallel(&eg, n_threads), got);
+        let parallel = search_all_with_threshold(&[guarded.query()], &eg, 0, n_threads, 0);
+        prop_assert_eq!(parallel, vec![got]);
     }
 }
 
@@ -970,12 +969,12 @@ proptest! {
         // `before` side first (exactly what Runner's incremental loop does
         // implicitly by only acting on new search results).
         let full = normalize(&eg, &pattern.search(&eg));
-        let since = pattern.search_since(&eg, watermark);
+        let since = search_one((pattern.program(), &[]), &eg, watermark);
         let mut combined: NormalMatches = BTreeMap::new();
         for m in &before {
             let class = eg.find(m.eclass);
             if eg.last_touched(class) >= watermark {
-                continue; // superseded: search_since revisits this class
+                continue; // superseded: the watermark search revisits this class
             }
             let substs = combined.entry(class).or_default();
             for s in &m.substs {
