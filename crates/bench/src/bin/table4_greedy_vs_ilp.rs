@@ -7,6 +7,9 @@
 //! isolates extraction quality from exploration noise. For every strategy
 //! we report the honest DAG cost (each e-node charged once), the tree cost
 //! (shared subgraphs charged per use), and the extraction wall-clock time.
+//! The ILP columns also say why its solve stopped: its status, the budget
+//! that ended a non-optimal search (`time` or `nodes`), and how many solver
+//! assignments the well-typedness check rejected.
 
 use tensat_bench::{harness_scale, write_csv};
 use tensat_core::{
@@ -59,13 +62,14 @@ fn main() {
                     .unwrap_or_else(|e| panic!("{} extraction failed on {name}: {e}", s.name()))
             })
             .collect();
-        let ilp_status = outcomes[2]
-            .ilp
-            .as_ref()
-            .map(|s| format!("{:?}", s.status))
-            .unwrap_or_else(|| "-".to_string());
+        let stats = outcomes[2].ilp.as_ref();
+        let ilp_status = stats.map_or_else(|| "-".to_string(), |s| format!("{:?}", s.status));
+        let ilp_limit = stats
+            .and_then(|s| s.limit)
+            .map_or_else(|| "-".to_string(), |l| l.to_string());
+        let ilp_rejected = stats.map_or(0, |s| s.rejected);
         println!(
-            "{:<14} {:>10.2} {:>11.2} {:>11.2} {:>11.2} {:>9.3} {:>9.3} {:>9.3}  {}",
+            "{:<14} {:>10.2} {:>11.2} {:>11.2} {:>11.2} {:>9.3} {:>9.3} {:>9.3}  {} (limit {}, {} rejected)",
             name,
             original,
             outcomes[0].dag_cost,
@@ -75,6 +79,8 @@ fn main() {
             outcomes[1].time.as_secs_f64(),
             outcomes[2].time.as_secs_f64(),
             ilp_status,
+            ilp_limit,
+            ilp_rejected,
         );
         assert!(
             outcomes[1].dag_cost <= outcomes[0].dag_cost + 1e-9,
@@ -83,7 +89,7 @@ fn main() {
             outcomes[0].dag_cost
         );
         rows.push(format!(
-            "{},{:.3},{:.3},{:.3},{:.3},{:.4},{:.4},{:.4},{:.3},{:.3},{:.3},{}",
+            "{},{:.3},{:.3},{:.3},{:.3},{:.4},{:.4},{:.4},{:.3},{:.3},{:.3},{},{},{}",
             name,
             original,
             outcomes[0].dag_cost,
@@ -96,11 +102,13 @@ fn main() {
             outcomes[1].tree_cost,
             outcomes[2].tree_cost,
             ilp_status,
+            ilp_limit,
+            ilp_rejected,
         ));
     }
     write_csv(
         "table4_greedy_vs_ilp.csv",
-        "model,original_us,tree_us,greedy_dag_us,ilp_us,tree_time_s,greedy_dag_time_s,ilp_time_s,tree_treecost_us,greedy_dag_treecost_us,ilp_treecost_us,ilp_status",
+        "model,original_us,tree_us,greedy_dag_us,ilp_us,tree_time_s,greedy_dag_time_s,ilp_time_s,tree_treecost_us,greedy_dag_treecost_us,ilp_treecost_us,ilp_status,ilp_limit,ilp_rejected",
         &rows,
     );
 }

@@ -10,10 +10,18 @@
 //!    residual problem never grows.
 //! 2. **Per-model time budget** — the reduced solve completes within a
 //!    generous per-model wall-clock budget. The release budget (5 s) is
-//!    ~6x the worst observed time on the single-core dev container
-//!    (BERT ≈ 0.8 s; every other model is milliseconds), so it trips on
-//!    an order-of-magnitude regression — the pre-reduction BERT solve
-//!    took ~34–47 s — without flaking on machine noise.
+//!    ~100x the worst observed time on a 2-core container (BERT ≈ 40–55
+//!    ms for 88 623 nodes; every other model takes about a millisecond,
+//!    and the whole test, monolithic oracles included, under 1 s), so it
+//!    only trips on a gross regression — the pre-reduction BERT solve took
+//!    ~34–47 s — without flaking on machine noise.
+//! 3. **Pinned search trees** — `GOLDEN` records each model's reduced
+//!    and monolithic `nodes_explored` and its optimal `dag_cost`. The
+//!    solver must walk exactly those trees: a change that alters the
+//!    tree, not only its speed, fails here. A node count may differ only
+//!    where the incumbent check rejected an assignment
+//!    (`IlpStats::rejected > 0`); the asserted `Optimal` status implies it
+//!    rejected none, so every count is pinned.
 //!
 //! Profile awareness: CI runs this test in *release* (the budget step in
 //! the full job), where every assertion is live. Under `cargo test`'s
@@ -41,6 +49,23 @@ const PER_MODEL_BUDGET: Duration = if cfg!(debug_assertions) {
 } else {
     Duration::from_secs(5)
 };
+
+/// The branch-and-bound tree each model's solves walk, pinned so a solver
+/// change that alters the tree (not only its speed) fails here:
+/// `(model, reduced nodes, monolithic nodes, optimal dag_cost)`. Recorded
+/// from the sweep-propagation solver that the trail-based one replaced; the
+/// two explore identical trees. A node count may differ only when the
+/// incumbent check rejected an assignment (`IlpStats::rejected > 0`), which
+/// changes the tree by design.
+const GOLDEN: [(&str, usize, usize, f64); 7] = [
+    ("NasRNN", 49, 23_551, 95.03253333333332),
+    ("BERT", 88_623, 976_161, 95.48245333333332),
+    ("ResNeXt-50", 0, 55, 56.88874666666666),
+    ("NasNet-A", 514, 50_335, 113.823872),
+    ("SqueezeNet", 0, 27, 65.37847466666666),
+    ("VGG-19", 14, 31, 132.98037333333335),
+    ("Inception-v3", 0, 423, 110.80552533333334),
+];
 
 /// Monolithic encodings above this size are only solved as the oracle in
 /// release builds (in debug the §5.1 encoding of BERT exhausts the
@@ -82,6 +107,20 @@ fn reduced_ilp_is_optimal_and_within_budget_on_every_benchmark_model() {
 
         let rs = reduced.ilp.as_ref().unwrap();
         assert_eq!(rs.status, Status::Optimal, "{name}: reduced not optimal");
+        let &(_, reduced_nodes, monolithic_nodes, optimum) = GOLDEN
+            .iter()
+            .find(|g| g.0 == *name)
+            .expect("every benchmark model has a golden row");
+        assert!(
+            (reduced.dag_cost - optimum).abs() < 1e-9,
+            "{name}: reduced optimum {} != golden {optimum}",
+            reduced.dag_cost
+        );
+        // `Optimal` implies nothing was rejected, so the tree is pinned.
+        assert_eq!(
+            rs.nodes_explored, reduced_nodes,
+            "{name}: the reduced solve walked a different tree"
+        );
 
         if cfg!(debug_assertions) && rs.vars_before > DEBUG_ORACLE_VAR_LIMIT {
             eprintln!(
@@ -102,6 +141,10 @@ fn reduced_ilp_is_optimal_and_within_budget_on_every_benchmark_model() {
             .unwrap_or_else(|e| panic!("monolithic ILP failed on {name}: {e}"));
             let ms = monolithic.ilp.as_ref().unwrap();
             assert_eq!(ms.status, Status::Optimal, "{name}: oracle not optimal");
+            assert_eq!(
+                ms.nodes_explored, monolithic_nodes,
+                "{name}: the monolithic solve walked a different tree"
+            );
             assert!(
                 (reduced.dag_cost - monolithic.dag_cost).abs() < 1e-9,
                 "{name}: reduced optimum {} != monolithic optimum {}",

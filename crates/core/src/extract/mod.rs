@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use tensat_egraph::{
     CostFunction, DagCostFunction, DagExtractor, Extractor, Id, Language, RecExpr,
 };
-use tensat_ilp::{Cmp, Problem, Solver, Status, VarId};
+use tensat_ilp::{Cmp, Limit, Problem, Solver, Status, VarId};
 use tensat_ir::{Cost, CostModel, TensorData, TensorEGraph, TensorLang};
 
 /// The result of one extraction.
@@ -115,8 +115,42 @@ pub struct IlpStats {
     pub status: Status,
     /// Branch-and-bound nodes explored (summed over components).
     pub nodes_explored: usize,
+    /// The budget that ended a non-optimal solve: the wall clock
+    /// ([`IlpConfig::time_limit`]) or the solver's per-component node cap.
+    /// The first component to stop early decides it; `None` when every
+    /// search finished.
+    pub limit: Option<Limit>,
+    /// Solver assignments the incumbent check rejected because their
+    /// stitched graph is not well-typed (summed over components). Non-zero
+    /// means the result is optimal only among the well-typed selections,
+    /// and `status` is not `Optimal`.
+    pub rejected: usize,
     /// Solver wall-clock time (summed over components).
     pub solve_time: Duration,
+}
+
+impl std::fmt::Display for IlpStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:?}: {} B&B nodes in {:.3} s, vars {}/{}, constraints {}/{}, {} components, \
+             {} presolve-fixed, {} rejected",
+            self.status,
+            self.nodes_explored,
+            self.solve_time.as_secs_f64(),
+            self.num_vars,
+            self.vars_before,
+            self.num_constraints,
+            self.constraints_before,
+            self.components,
+            self.presolve_fixed,
+            self.rejected,
+        )?;
+        if let Some(limit) = self.limit {
+            write!(f, ", stopped by the {limit} limit")?;
+        }
+        Ok(())
+    }
 }
 
 /// Errors from extraction.
@@ -299,7 +333,11 @@ pub struct IlpConfig {
     pub cycle_constraints: bool,
     /// Use integer topological-order variables instead of reals.
     pub integer_topo_vars: bool,
-    /// Wall-clock limit for the ILP solver.
+    /// Wall-clock limit for the ILP solver, shared first-come by the
+    /// components of a reduced problem. Each component's search is also
+    /// capped at the solver's 2 000 000 nodes (the default
+    /// [`Solver::node_limit`]); [`IlpStats::limit`] records which budget
+    /// ended a non-optimal solve.
     pub time_limit: Duration,
     /// Seed the solver with the greedy-DAG solution as a warm start (and
     /// keep it as the incumbent if the solver's budget runs out first).
@@ -506,11 +544,22 @@ fn extract_ilp_monolithic(
         values
     });
 
-    let solver = Solver::with_time_limit(config.time_limit);
-    let solution = match &hint {
-        Some(h) => solver.solve_with_hint(&problem, h),
-        None => solver.solve(&problem),
+    // Read a selection back: for each class (slot), the chosen e-node, or
+    // `None` when a class selects two (see `well_typed`).
+    let selection = |values: &[f64]| {
+        let mut choice: Vec<Option<TensorLang>> = vec![None; n_slots];
+        for (class, node, var) in &node_vars {
+            if values[var.0] > 0.5 && choice[slot(*class)].replace(node.clone()).is_some() {
+                return None;
+            }
+        }
+        Some(choice)
     };
+    let solution = Solver::with_time_limit(config.time_limit).solve_checked(
+        &problem,
+        hint.as_deref(),
+        &mut |values| selection(values).is_some_and(|c| well_typed(egraph, root, model, &c)),
+    );
     let stats = IlpStats {
         num_vars: problem.num_vars(),
         num_constraints: problem.num_constraints(),
@@ -523,20 +572,14 @@ fn extract_ilp_monolithic(
         components: 1,
         status: solution.status,
         nodes_explored: solution.nodes_explored,
+        limit: solution.limit,
+        rejected: solution.rejected,
         solve_time: solution.solve_time,
     };
     if !solution.has_solution() {
         return Err(ExtractError::Infeasible);
     }
-
-    // Read the selection back: for each class (slot), the chosen e-node.
-    let mut choice: Vec<Option<TensorLang>> = vec![None; n_slots];
-    for (class, node, var) in &node_vars {
-        let s = slot(*class);
-        if solution.value(*var) > 0.5 && choice[s].is_none() {
-            choice[s] = Some(node.clone());
-        }
-    }
+    let choice = selection(&solution.values).ok_or(ExtractError::Infeasible)?;
     let expr = build_selection(egraph, root, &choice)?;
     let mut outcome = ExtractionOutcome::measure(expr, model, start.elapsed());
     // The solver is an any-time procedure: if it hit its budget before
@@ -627,6 +670,36 @@ fn extract_ilp_reduced(
         }
     }
 
+    // Stitches a per-class choice into the slot space `build_selection`
+    // walks.
+    let stitch = |choice: &[Option<usize>]| {
+        let mut slot_choice: Vec<Option<TensorLang>> = vec![None; egraph.num_slots()];
+        for (i, &ch) in choice.iter().enumerate() {
+            if let Some(j) = ch {
+                let s = egraph
+                    .slot_index(rp.class_ids[i])
+                    .expect("reachable class is live");
+                slot_choice[s] = Some(rp.candidates[i][j].node.clone());
+            }
+        }
+        slot_choice
+    };
+    // What a component's incumbent check assumes for a class no solve has
+    // decided yet: the warm start's pick, else the cheapest live candidate.
+    let placeholder: Vec<Option<usize>> = (0..n)
+        .map(|i| {
+            hint_choice[i].or_else(|| {
+                (0..rp.candidates[i].len())
+                    .filter(|&j| rp.reachable[i] && rp.alive[i][j])
+                    .min_by(|&a, &b| {
+                        rp.candidates[i][a]
+                            .cost
+                            .total_cmp(&rp.candidates[i][b].cost)
+                    })
+            })
+        })
+        .collect();
+
     // Encode and solve each component independently, splitting the wall
     // clock budget first-come (components are tiny after reduction).
     let comps = rp.components();
@@ -643,6 +716,8 @@ fn extract_ilp_reduced(
         components: comps.len(),
         status: Status::Optimal,
         nodes_explored: 0,
+        limit: None,
+        rejected: 0,
         solve_time: Duration::ZERO,
     };
     for comp in &comps {
@@ -697,15 +772,40 @@ fn extract_ilp_reduced(
             }
             values
         });
-        let solver = Solver::with_time_limit(config.time_limit.saturating_sub(start.elapsed()));
-        let solution = match &hint {
-            Some(h) => solver.solve_with_hint(&problem, h),
-            None => solver.solve(&problem),
+        // A class's selected candidate, or `Err` when it selects two (see
+        // `well_typed`).
+        let comp_choice = |values: &[f64], i: usize| {
+            let mut picked = comp_vars[&i].iter().filter(|&&(_, v)| values[v.0] > 0.5);
+            match (picked.next(), picked.next()) {
+                (_, Some(_)) => Err(ExtractError::Infeasible),
+                (first, None) => Ok(first.map(|&(j, _)| j)),
+            }
         };
+        // The incumbent check stitches the candidate assignment with the
+        // fixed classes, the components solved so far, and placeholders
+        // for the rest, and accepts only a well-typed graph.
+        let mut accept = |values: &[f64]| {
+            let mut trial: Vec<Option<usize>> = choice
+                .iter()
+                .zip(&placeholder)
+                .map(|(c, p)| c.or(*p))
+                .collect();
+            for &i in comp {
+                match comp_choice(values, i) {
+                    Ok(j) => trial[i] = j,
+                    Err(_) => return false,
+                }
+            }
+            well_typed(egraph, root, model, &stitch(&trial))
+        };
+        let solution = Solver::with_time_limit(config.time_limit.saturating_sub(start.elapsed()))
+            .solve_checked(&problem, hint.as_deref(), &mut accept);
         stats.num_vars += problem.num_vars();
         stats.num_constraints += problem.num_constraints();
         stats.presolve_fixed += solution.presolve_fixed;
         stats.nodes_explored += solution.nodes_explored;
+        stats.limit = stats.limit.or(solution.limit);
+        stats.rejected += solution.rejected;
         stats.solve_time += solution.solve_time;
         if !solution.has_solution() {
             // Out of budget with no incumbent for this component: fall back
@@ -723,27 +823,12 @@ fn extract_ilp_reduced(
             stats.status = solution.status;
         }
         for &i in comp {
-            for &(j, var) in &comp_vars[&i] {
-                if solution.value(var) > 0.5 {
-                    choice[i] = Some(j);
-                    break;
-                }
-            }
+            choice[i] = comp_choice(&solution.values, i)?;
         }
     }
 
-    // Stitch: fixed selections plus the per-component optima, mapped into
-    // the slot space `build_selection` walks.
-    let mut slot_choice: Vec<Option<TensorLang>> = vec![None; egraph.num_slots()];
-    for (i, &ch) in choice.iter().enumerate() {
-        if let Some(j) = ch {
-            let s = egraph
-                .slot_index(rp.class_ids[i])
-                .expect("reachable class is live");
-            slot_choice[s] = Some(rp.candidates[i][j].node.clone());
-        }
-    }
-    let expr = build_selection(egraph, root, &slot_choice)?;
+    // Stitch: fixed selections plus the per-component optima.
+    let expr = build_selection(egraph, root, &stitch(&choice))?;
     let mut outcome = ExtractionOutcome::measure(expr, model, start.elapsed());
     if let Some(greedy) = greedy {
         if greedy.cost.total_order(&outcome.cost) == Ordering::Less {
@@ -755,6 +840,31 @@ fn extract_ilp_reduced(
     }
     outcome.ilp = Some(stats);
     Ok(outcome)
+}
+
+/// The incumbent check of both ILP encodings: the selection builds into an
+/// acyclic graph whose concrete shape inference succeeds everywhere (finite
+/// composite cost). The encodings price each e-node from class-level
+/// analysis data, which merges facts from every member of a class — a
+/// `split` can be priced against a `split_at` only the class's `concat`
+/// carries, while the selection reads the class through a member that
+/// lacks it. Such a selection has a finite objective but is not a graph.
+///
+/// The solver prunes the node of a rejected assignment, so the check must
+/// keep rejecting when more variables are set to 1. Its callers therefore
+/// also reject any assignment selecting two candidates of one class: adding
+/// a selection then either makes a class select two or adds a class the
+/// built graph never reaches, so the verdict stands. Restricting to one
+/// candidate per class loses no optimum — dropping a second selection
+/// keeps every implication row satisfied at no greater cost.
+fn well_typed(
+    egraph: &TensorEGraph,
+    root: Id,
+    model: &CostModel,
+    choice: &[Option<TensorLang>],
+) -> bool {
+    build_selection(egraph, root, choice)
+        .is_ok_and(|expr| model.graph_cost_composite(&expr).is_finite())
 }
 
 /// Builds the extracted expression from a per-slot node choice, detecting
@@ -1069,6 +1179,67 @@ mod tests {
         let ilp = extract_ilp(&eg, root, &model, &IlpConfig::default()).unwrap();
         assert!((ilp.dag_cost - greedy.dag_cost).abs() < 1e-6);
         assert_eq!(ilp.ilp.as_ref().unwrap().status, Status::Optimal);
+    }
+
+    /// A class holding a `concat` and a cheaper member without `split_at`
+    /// (an input of the same shape), read by a `split`. Merging gives the
+    /// class the concat's `split_at`, so the encodings price the `split` as
+    /// valid whichever member is picked; only the concat makes a graph.
+    /// Returns the e-graph, its root, and the one well-typed graph.
+    fn split_over_merged_concat() -> (TensorEGraph, Id, RecExpr<TensorLang>) {
+        let mut g = GraphBuilder::new();
+        let a = g.input("a", &[8, 16]);
+        let b = g.input("b", &[8, 16]);
+        let concat = g.concat2(1, a, b);
+        let split = g.split(1, concat);
+        let first = g.split0(split);
+        let out = g.relu(first);
+        let concat = g.expr().extract(concat);
+        let graph = g.finish(&[out]);
+        let mut eg = TensorEGraph::new(TensorAnalysis);
+        let root = eg.add_expr(&graph);
+        let concat = eg.add_expr(&concat);
+        let mut alt = GraphBuilder::new();
+        let cheap = alt.input("c", &[8, 32]);
+        let cheap = eg.add_expr(&alt.finish(&[cheap]));
+        eg.union(concat, cheap);
+        eg.rebuild();
+        (eg, root, graph)
+    }
+
+    #[test]
+    fn ilp_accepts_only_well_typed_selections() {
+        let (eg, root, graph) = split_over_merged_concat();
+        let model = CostModel::default();
+        // The class-level pricing makes the input the cheaper pick, and a
+        // selection reading the class through it is not a graph.
+        let greedy = extract_greedy_dag(&eg, root, &model).unwrap();
+        assert!(!greedy.dag_cost.is_finite(), "greedy picks the input");
+        let optimum = model.graph_cost(&graph);
+        assert!(optimum.is_finite());
+        for (reduce, warm_start_with_greedy) in [(true, true), (true, false), (false, true)] {
+            let config = IlpConfig {
+                reduce,
+                warm_start_with_greedy,
+                ..Default::default()
+            };
+            let ilp = extract_ilp(&eg, root, &model, &config).unwrap();
+            let stats = ilp.ilp.as_ref().unwrap();
+            let data = tensat_ir::infer_recexpr(&ilp.expr);
+            assert!(
+                data.iter().all(|d| d.is_valid()),
+                "reduce {reduce}: ill-typed {}",
+                ilp.expr
+            );
+            assert!(
+                (ilp.dag_cost - optimum).abs() < 1e-9,
+                "reduce {reduce}: cost {} != objective {optimum}",
+                ilp.dag_cost
+            );
+            assert!(stats.rejected > 0, "reduce {reduce}: nothing rejected");
+            assert_eq!(stats.status, Status::Feasible);
+            assert_eq!(stats.limit, None);
+        }
     }
 
     #[test]

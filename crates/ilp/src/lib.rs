@@ -8,7 +8,15 @@
 //! activity-based constraint propagation, warm starting, and wall-clock /
 //! node limits so it can be used as an any-time procedure — extraction
 //! keeps the best incumbent if the limit fires, just as the paper's setup
-//! keeps running under a one-hour SCIP timeout.
+//! keeps running under a one-hour SCIP timeout. [`Solution::limit`] says
+//! which limit stopped a search.
+//!
+//! The search is incremental: one bound array with an undo trail, row
+//! activities kept current as bounds move, and propagation driven by a
+//! queue of the rows whose activity changed, so a node costs time in
+//! proportion to the rows it touches. [`Solver::solve_checked`] adds an
+//! incumbent check that vets assignments before they are recorded
+//! (extraction uses it to accept only well-typed graphs).
 //!
 //! ```
 //! use tensat_ilp::{Problem, Cmp, Solver, Status};
@@ -29,4 +37,4 @@ mod problem;
 mod solver;
 
 pub use problem::{Cmp, Constraint, Problem, VarId, VarKind};
-pub use solver::{Solution, Solver, Status};
+pub use solver::{Limit, Solution, Solver, Status};

@@ -1,8 +1,10 @@
 //! Property tests comparing the branch-and-bound solver against brute-force
-//! enumeration on small random 0/1 problems.
+//! enumeration on small random 0/1 problems: dense random rows, and
+//! extraction-shaped selection problems whose covering rows form the cover
+//! groups behind the solver's strengthened lower bound.
 
 use proptest::prelude::*;
-use tensat_ilp::{Cmp, Problem, Solver, Status};
+use tensat_ilp::{Cmp, Problem, Solver, Status, VarId};
 
 #[derive(Debug, Clone)]
 struct RandomProblem {
@@ -88,6 +90,138 @@ proptest! {
         prop_assert_eq!(plain.status, hinted.status);
         if plain.status == Status::Optimal {
             prop_assert!((plain.objective - hinted.objective).abs() < 1e-6);
+        }
+    }
+}
+
+/// A random extraction-shaped selection problem: classes of 1–3 candidate
+/// variables (class 0 is the root), implication edges from candidates to
+/// later classes, and a subset of classes marked required.
+#[derive(Debug, Clone)]
+struct Selection {
+    /// The variables of each class.
+    classes: Vec<Vec<usize>>,
+    costs: Vec<f64>,
+    /// `(candidate, child class)`: selecting the candidate needs the class.
+    edges: Vec<(usize, usize)>,
+    /// Non-root classes with an explicit `>= 1` row.
+    required: Vec<usize>,
+    hint: Vec<f64>,
+    /// The check rejects any assignment setting all of one set to 1, so a
+    /// rejection survives setting more variables to 1.
+    nogoods: Vec<Vec<usize>>,
+}
+
+/// Splitmix64: turns one proptest seed into the many small choices below.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn selection_strategy() -> impl Strategy<Value = Selection> {
+    (prop::collection::vec(1usize..=3, 1..=5), any::<u64>()).prop_map(|(sizes, seed)| {
+        let mut state = seed;
+        let mut rand = |n: u64| next(&mut state) % n;
+        let mut classes = vec![];
+        let mut n = 0;
+        for size in sizes {
+            // At most 14 variables, so enumeration stays cheap.
+            let size = size.min(14 - n);
+            if size == 0 {
+                break;
+            }
+            classes.push((n..n + size).collect::<Vec<_>>());
+            n += size;
+        }
+        let costs = (0..n).map(|_| rand(1000) as f64 / 100.0).collect();
+        let mut edges = vec![];
+        for (c, vars) in classes.iter().enumerate() {
+            for &v in vars {
+                for d in c + 1..classes.len() {
+                    if rand(2) == 0 {
+                        edges.push((v, d));
+                    }
+                }
+            }
+        }
+        let required = (1..classes.len()).filter(|_| rand(3) == 0).collect();
+        let hint = (0..n).map(|_| rand(2) as f64).collect();
+        let nogoods = (0..rand(3))
+            .map(|_| (0..1 + rand(3)).map(|_| rand(n as u64) as usize).collect())
+            .collect();
+        Selection {
+            classes,
+            costs,
+            edges,
+            required,
+            hint,
+            nogoods,
+        }
+    })
+}
+
+fn build_selection(s: &Selection) -> Problem {
+    let mut prob = Problem::new();
+    let vars: Vec<VarId> = s.costs.iter().map(|&c| prob.add_binary(c)).collect();
+    let members = |c: usize| s.classes[c].iter().map(|&v| (vars[v], 1.0));
+    prob.add_constraint(members(0).collect(), Cmp::Eq, 1.0);
+    for &c in &s.required {
+        prob.add_constraint(members(c).collect(), Cmp::Ge, 1.0);
+    }
+    for &(v, c) in &s.edges {
+        let mut terms = vec![(vars[v], 1.0)];
+        terms.extend(members(c).map(|(m, _)| (m, -1.0)));
+        prob.add_constraint(terms, Cmp::Le, 0.0);
+    }
+    prob
+}
+
+fn accepted(s: &Selection, values: &[f64]) -> bool {
+    !s.nogoods
+        .iter()
+        .any(|set| set.iter().all(|&v| values[v] > 0.5))
+}
+
+proptest! {
+    /// On extraction-shaped problems with an incumbent check, the solver
+    /// finds the optimum over the feasible *accepted* assignments, reports
+    /// `Optimal` exactly when it rejected nothing, and returns an accepted
+    /// assignment.
+    #[test]
+    fn checked_solver_matches_brute_force_on_selection_problems(s in selection_strategy()) {
+        let prob = build_selection(&s);
+        let n = s.costs.len();
+        let mut feasible = false;
+        let mut reference: Option<f64> = None;
+        for mask in 0..(1u32 << n) {
+            let values: Vec<f64> = (0..n).map(|i| f64::from((mask >> i) & 1)).collect();
+            if prob.is_feasible(&values, 1e-9) {
+                feasible = true;
+                if accepted(&s, &values) {
+                    let obj = prob.objective_value(&values);
+                    reference = Some(reference.map_or(obj, |b: f64| b.min(obj)));
+                }
+            }
+        }
+        let sol = Solver::default().solve_checked(&prob, Some(&s.hint), &mut |v| accepted(&s, v));
+        prop_assert_eq!(sol.limit, None);
+        match reference {
+            None => {
+                prop_assert!(!sol.has_solution());
+                let expected = if feasible { Status::Unknown } else { Status::Infeasible };
+                prop_assert_eq!(sol.status, expected);
+            }
+            Some(best) => {
+                prop_assert!((sol.objective - best).abs() < 1e-6,
+                    "solver got {} but enumeration got {}", sol.objective, best);
+                prop_assert!(prob.is_feasible(&sol.values, 1e-6));
+                prop_assert!(accepted(&s, &sol.values));
+                let expected = if sol.rejected == 0 { Status::Optimal } else { Status::Feasible };
+                prop_assert_eq!(sol.status, expected);
+            }
         }
     }
 }
