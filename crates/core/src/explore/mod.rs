@@ -785,6 +785,43 @@ mod tests {
         assert!(crate::cycles::find_cycles(&eg, root).is_empty());
     }
 
+    /// A cycle one rule would close before the post-pass removes cycles:
+    /// `relu(?x) => ?x` merges `relu(x)` with `x` (a cycle the leaf check
+    /// cannot see, left to the post-pass), after which `relu(?x) =>
+    /// tanh(?x)` in the same batch would add `tanh` of the merged class to
+    /// itself. The staged pre-filter must skip that application, so the
+    /// post-pass filters only the `relu` and no `tanh` is ever added.
+    #[test]
+    fn staged_cycle_prefilter_skips_an_application_closing_a_cycle() {
+        let mut g = GraphBuilder::new();
+        let x = g.input("x", &[4, 4]);
+        let r = g.relu(x);
+        let expr = g.finish(&[r]);
+        let mut eg = TensorEGraph::new(TensorAnalysis);
+        let root = eg.add_expr(&expr);
+        eg.rebuild();
+        let rules = [
+            tensat_rules::rw("collapse-relu", "(relu ?x)", "?x"),
+            tensat_rules::rw("relu-to-tanh", "(relu ?x)", "(tanh ?x)"),
+        ];
+        let config = ExplorationConfig {
+            cycle_filter: CycleFilter::Efficient,
+            mode: ExplorationMode::Saturate,
+            ..Default::default()
+        };
+        let stats = explore(&mut eg, root, &rules, &[], &config);
+        assert_eq!(
+            stats.filtered_nodes, 1,
+            "only the collapsed relu is filtered"
+        );
+        let tanh = eg
+            .classes()
+            .flat_map(|class| class.iter())
+            .any(|node| matches!(node, TensorLang::Tanh(_)));
+        assert!(!tanh, "the pre-filter skipped the cycle-closing tanh");
+        assert!(crate::cycles::find_cycles(&eg, root).is_empty());
+    }
+
     #[test]
     fn more_multi_iterations_grow_the_egraph() {
         let sizes: Vec<usize> = [0usize, 1, 2]

@@ -125,6 +125,12 @@ pub struct IlpStats {
     /// means the result is optimal only among the well-typed selections,
     /// and `status` is not `Optimal`.
     pub rejected: usize,
+    /// A proven lower bound on the ILP objective (the selection's latency
+    /// in µs): the solver's [`Solution::bound`](tensat_ilp::Solution::bound),
+    /// plus the fixed classes' cost on the reduced path, summed over
+    /// components. It equals the objective when every search finished;
+    /// `objective - bound` is the optimality gap.
+    pub bound: f64,
     /// Solver wall-clock time (summed over components).
     pub solve_time: Duration,
 }
@@ -133,11 +139,12 @@ impl std::fmt::Display for IlpStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{:?}: {} B&B nodes in {:.3} s, vars {}/{}, constraints {}/{}, {} components, \
-             {} presolve-fixed, {} rejected",
+            "{:?}: {} B&B nodes in {:.3} s, bound {:.3}, vars {}/{}, constraints {}/{}, \
+             {} components, {} presolve-fixed, {} rejected",
             self.status,
             self.nodes_explored,
             self.solve_time.as_secs_f64(),
+            self.bound,
             self.num_vars,
             self.vars_before,
             self.num_constraints,
@@ -574,6 +581,7 @@ fn extract_ilp_monolithic(
         nodes_explored: solution.nodes_explored,
         limit: solution.limit,
         rejected: solution.rejected,
+        bound: solution.bound,
         solve_time: solution.solve_time,
     };
     if !solution.has_solution() {
@@ -718,6 +726,7 @@ fn extract_ilp_reduced(
         nodes_explored: 0,
         limit: None,
         rejected: 0,
+        bound: rp.fixed_cost(),
         solve_time: Duration::ZERO,
     };
     for comp in &comps {
@@ -806,11 +815,13 @@ fn extract_ilp_reduced(
         stats.nodes_explored += solution.nodes_explored;
         stats.limit = stats.limit.or(solution.limit);
         stats.rejected += solution.rejected;
+        stats.bound += solution.bound;
         stats.solve_time += solution.solve_time;
         if !solution.has_solution() {
             // Out of budget with no incumbent for this component: fall back
             // to the greedy graph (the monolithic path's any-time contract)
-            // if there is one.
+            // if there is one. The components left unsolved add nothing to
+            // the bound, which stays valid because costs are nonnegative.
             stats.status = solution.status;
             let Some(greedy) = greedy else {
                 return Err(ExtractError::Infeasible);

@@ -542,7 +542,6 @@ impl ExtractionProblem {
 
     /// Total cost of the fixed classes' selections (the constant the
     /// reduction removed from the ILP objective).
-    #[cfg(test)]
     pub(crate) fn fixed_cost(&self) -> f64 {
         (0..self.candidates.len())
             .filter_map(|i| self.fixed[i].map(|j| self.candidates[i][j].cost))

@@ -11,12 +11,15 @@
 //! keeps running under a one-hour SCIP timeout. [`Solution::limit`] says
 //! which limit stopped a search.
 //!
-//! The search is incremental: one bound array with an undo trail, row
-//! activities kept current as bounds move, and propagation driven by a
-//! queue of the rows whose activity changed, so a node costs time in
-//! proportion to the rows it touches. [`Solver::solve_checked`] adds an
-//! incumbent check that vets assignments before they are recorded
-//! (extraction uses it to accept only well-typed graphs).
+//! The search is incremental: one bound array with an undo trail, covering
+//! rows folded into cover groups that propagate on member counts, the
+//! remaining rows' activities kept current as bounds move, and propagation
+//! driven by queues of the groups and rows that changed, so a node costs
+//! time in proportion to the groups and rows it touches. When a limit
+//! stops a search, [`Solution::bound`] reports a proven lower bound.
+//! [`Solver::solve_checked`] adds an incumbent check that vets assignments
+//! before they are recorded (extraction uses it to accept only well-typed
+//! graphs).
 //!
 //! ```
 //! use tensat_ilp::{Problem, Cmp, Solver, Status};

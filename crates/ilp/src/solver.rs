@@ -1,31 +1,46 @@
 //! A deterministic branch-and-bound solver for mixed 0/1 linear programs.
 //!
 //! The solver is exact given enough time: it enumerates the integral
-//! variables depth-first with constraint propagation (activity-based bound
-//! tightening) at every node and prunes with a partial-assignment lower
-//! bound and the best incumbent found so far. Before branching, a *presolve*
-//! propagation fixpoint on the root bounds fixes every variable implied by
-//! the constraints alone ([`Solution::presolve_fixed`] counts them), and
-//! variable-disjoint `sum >= 1` covering constraints are collected into
-//! groups that strengthen the lower bound by each group's cheapest available
-//! member — on extraction encodings this usually certifies a greedy-seeded
-//! incumbent optimal within a handful of nodes. A warm-start hint can seed
-//! the incumbent (TENSAT seeds it with the greedy extraction), and wall
-//! clock / node limits turn the solver into an any-time procedure — the
-//! role SCIP plays in the original system.
+//! variables depth-first with constraint propagation (bound tightening) at
+//! every node and prunes with a partial-assignment lower bound and the best
+//! incumbent found so far. Before branching, a *presolve* propagation
+//! fixpoint on the root bounds fixes every variable implied by the
+//! constraints alone ([`Solution::presolve_fixed`] counts them). A
+//! warm-start hint can seed the incumbent (TENSAT seeds it with the greedy
+//! extraction), and wall clock / node limits turn the solver into an
+//! any-time procedure — the role SCIP plays in the original system. When a
+//! limit stops the search, [`Solution::bound`] still reports a proven lower
+//! bound.
 //!
-//! Each node costs time in proportion to the rows it touches, not to the
-//! size of the problem. The search keeps one `lo`/`hi` bound array and an
-//! undo trail with a mark per decision, so moving between nodes replays only
-//! the bound changes in between. Every row carries its minimum and maximum
-//! activity, kept current as bounds move; a row is queued for propagation
-//! only when the side of its activity that can tighten a bound changed and
-//! its slack is within the widest term range of the row. Propagation runs
-//! the queue to a fixpoint — the same fixpoint a sweep over every row
-//! reaches, because bound tightening is monotone. The objective lower bound
-//! (bounds-only term plus cover-group charges), the cheap completion's row
-//! activities, and the ordered set of rows it violates are likewise kept
-//! current, so the first violated row, the branching choice, is a lookup.
+//! Covering rows over binary variables with nonnegative costs are
+//! collected into variable-disjoint *cover groups*: the rows `sum(x_v) >= 1`
+//! / `== 1` and the implications `x_t - sum(x_v) <= 0` that share one
+//! member set. Extraction encodings are made of such rows (one group per
+//! e-class, one implication per parent candidate). A group replaces its
+//! rows outright: it keeps counts of selected and available members and the
+//! list of rows in force, propagates the rows' rules on those counts, and
+//! charges its cheapest available member to the lower bound. On the
+//! bench-grown extraction problems that bound proves greedy-seeded
+//! incumbents optimal quickly, but at saturation scale it is weak: at the
+//! root it is 10.04 on saturated BERT against an incumbent of 97.53, and
+//! 0.0 on Inception-v3's largest component against 22.39.
+//!
+//! Each node costs time in proportion to the groups and rows it touches,
+//! not to the size of the problem. The search keeps one `lo`/`hi` bound
+//! array and an undo trail with a mark per decision, so moving between
+//! nodes replays only the bound changes in between. A bound change updates
+//! its variable's group once and each group it triggers once. Every row
+//! outside the groups (partial overlaps, the cycle constraints, rows over
+//! continuous or wide integer variables) carries its minimum and maximum
+//! activity, kept current as bounds move; such a row is queued for
+//! propagation only when the side of its activity that can tighten a bound
+//! changed and its slack is within the widest term range of the row.
+//! Propagation runs both queues to a fixpoint — the same fixpoint a sweep
+//! over every row reaches, because bound tightening is monotone. The
+//! objective lower bound, the cheap completion's row activities, and the
+//! ordered set of rows it violates are likewise kept current, so the first
+//! violated row, the branching choice, is a lookup, and so is its costliest
+//! unfixed variable when a group owns the row.
 //!
 //! An optional *incumbent check* ([`Solver::solve_checked`]) vets every
 //! assignment before it becomes the incumbent. The check must reject whole
@@ -91,6 +106,12 @@ pub struct Solution {
     pub values: Vec<f64>,
     /// Objective value of `values` (infinite when none).
     pub objective: f64,
+    /// A proven lower bound, to within the solver tolerance, on the
+    /// objective of every feasible accepted assignment: the objective when
+    /// the search finished, else the lowest lower bound over the incumbent
+    /// and the nodes still open when a limit stopped it. `objective -
+    /// bound` is the optimality gap.
+    pub bound: f64,
     /// Number of branch-and-bound nodes explored.
     pub nodes_explored: usize,
     /// Number of integral variables the root presolve fixed before any
@@ -204,7 +225,7 @@ impl Solver {
         // whose domains collapse here are implied by the constraints alone
         // and never branched on; the tightened bounds seed the whole search.
         let free_before = search.free_integral();
-        search.queue_all_rows();
+        search.queue_everything();
         let root_feasible = search.propagate();
         let presolve_fixed = free_before.saturating_sub(search.free_integral());
         if !root_feasible {
@@ -215,6 +236,7 @@ impl Solver {
                 status: Status::Infeasible,
                 values: vec![],
                 objective: f64::INFINITY,
+                bound: f64::INFINITY,
                 nodes_explored: 0,
                 presolve_fixed,
                 limit: None,
@@ -226,7 +248,7 @@ impl Solver {
         // every derived quantity from them exactly.
         search.trail.clear();
         search.rebuild_derived();
-        search.branch();
+        let bound = search.branch();
 
         let status = match (&search.best_values, search.limit, search.rejected) {
             (Some(_), None, 0) => Status::Optimal,
@@ -237,6 +259,7 @@ impl Solver {
         Solution {
             status,
             objective: search.best_objective,
+            bound,
             values: search.best_values.unwrap_or_default(),
             nodes_explored: search.nodes,
             presolve_fixed,
@@ -247,47 +270,72 @@ impl Solver {
     }
 }
 
-/// One covering group for the conditional-cover lower bound, with the
-/// search state that keeps its charge current.
+/// A cover group: every always row (`sum(members) >= 1` or `== 1`) and
+/// every implication row (`trigger - sum(members) <= 0`) over one member
+/// set, propagated, bounded and branched on as a unit. None of these rows
+/// is kept as a generic [`Row`].
+///
+/// Over binaries the rows' activity rules reduce to counts. The group is
+/// *active* while some row is in force (an always row, or an implication
+/// whose trigger is 1), and satisfied once a member is selected:
+/// - no member left: every trigger is fixed to 0 (a conflict if active);
+/// - active, unsatisfied, one member left: that member is fixed to 1;
+/// - an `==` group with one member selected: every other member is fixed
+///   to 0 (a conflict if two are).
+///
+/// Members and triggers cost nothing negative, so the cheap completion
+/// sets exactly the variables whose lower bound is 1: a row in force is
+/// violated iff the group is unsatisfied.
 struct CoverGroup {
-    /// The covered variables (pairwise disjoint across groups), sorted by
-    /// cost once the search starts.
+    /// The members, cheapest first (ties to the lower index): the cover
+    /// charge is the first available one.
     members: Vec<usize>,
-    /// Active regardless of triggers (backed by a `>= 1` row).
-    always: bool,
-    /// Binary variables whose fixing to 1 activates the group (each backed
-    /// by a row `trigger - sum(members) <= 0`).
-    triggers: Vec<usize>,
-    /// Triggers whose lower bound is 1.
-    active: usize,
-    /// Members whose lower bound is 1 (the group is satisfied).
+    /// The members, costliest first (ties to the lower index): branching
+    /// on a violated row of the group takes the first available one.
+    dear: Vec<usize>,
+    /// An `==` row covers the group: at most one member may be selected.
+    exactly_one: bool,
+    /// `(trigger, row)` of each implication row.
+    triggers: Vec<(usize, usize)>,
+    /// The number of always rows, which lead `active_rows` for good.
+    always: usize,
+    /// The rows in force: the always rows, then each implication row whose
+    /// trigger is 1, in the order the triggers were set, so the trail
+    /// removes them from the end.
+    active_rows: Vec<usize>,
+    /// Members whose lower bound is 1.
     selected: usize,
-    /// A position in `members` with no available member before it. Bounds
-    /// only tighten down a branch, so the cursor only advances; the trail
-    /// moves it back.
-    cursor: usize,
-    /// What the group adds to the lower bound.
+    /// Members whose upper bound is 1.
+    available: usize,
+    /// Positions in `members` and `dear` with no available member before
+    /// them. Bounds only tighten down a branch, so the cursors only
+    /// advance; the trail moves them back.
+    cheap: usize,
+    dear_at: usize,
+    /// What the group adds to the lower bound: its cheapest available
+    /// member while active and unsatisfied, else nothing.
     charge: f64,
-    /// Queued for a recharge.
-    dirty: bool,
+    /// Queued for propagation.
+    queued: bool,
 }
 
-/// Collects pairwise member-disjoint covering groups from two row shapes:
-/// `sum(x_v) >= 1` / `== 1` (always-active) and `x_t - sum(x_v) <= 0`
-/// (active when the trigger `x_t` is 1), both over unit coefficients and
-/// binary members with nonnegative objective coefficients. Rows with the
-/// same member set merge (an always row marks the group `always`; each
-/// implication row adds its trigger). Scanned in constraint order, greedily
-/// skipping any row whose member set partially overlaps an earlier group,
-/// so the collection is deterministic.
-fn cover_groups(problem: &Problem, tol: f64) -> Vec<CoverGroup> {
+/// Collects pairwise member-disjoint cover groups from two row shapes over
+/// unit coefficients and distinct binary variables with nonnegative
+/// objective coefficients: `sum(x_v) >= 1` / `== 1` (always rows) and
+/// `x_t - sum(x_v) <= 0` (implication rows, triggered by `x_t`). Rows with
+/// the same member set join one group. Scanned in constraint order,
+/// greedily skipping any row whose member set partially overlaps an
+/// earlier group, so the collection is deterministic. Also returns the
+/// group that absorbed each row (`None` for the rows that stay generic).
+fn cover_groups(problem: &Problem, tol: f64) -> (Vec<CoverGroup>, Vec<Option<usize>>) {
     let mut group_of = vec![usize::MAX; problem.num_vars()];
     let mut groups: Vec<CoverGroup> = vec![];
+    let mut row_group = vec![None; problem.num_constraints()];
     let member_ok =
         |v: VarId| problem.kinds()[v.0] == VarKind::Binary && problem.objective()[v.0] >= 0.0;
-    // Resolves the member set to a group slot: an existing group with
-    // exactly this set, a fresh one when no member is taken, or None on a
-    // partial overlap.
+    // Resolves the member set (sorted, distinct) to a group slot: an
+    // existing group with exactly this set, a fresh one when no member is
+    // taken, or None on a partial overlap.
     let mut slot_for = |members: &[usize], groups: &mut Vec<CoverGroup>| -> Option<usize> {
         let first = group_of[members[0]];
         if first != usize::MAX {
@@ -303,17 +351,25 @@ fn cover_groups(problem: &Problem, tol: f64) -> Vec<CoverGroup> {
         }
         groups.push(CoverGroup {
             members: members.to_vec(),
-            always: false,
+            dear: vec![],
+            exactly_one: false,
             triggers: vec![],
-            active: 0,
+            always: 0,
+            active_rows: vec![],
             selected: 0,
-            cursor: 0,
+            available: 0,
+            cheap: 0,
+            dear_at: 0,
             charge: 0.0,
-            dirty: false,
+            queued: false,
         });
         Some(groups.len() - 1)
     };
-    for c in problem.constraints() {
+    let distinct = |mut members: Vec<usize>| {
+        members.sort_unstable();
+        members.windows(2).all(|w| w[0] != w[1]).then_some(members)
+    };
+    for (r, c) in problem.constraints().iter().enumerate() {
         if matches!(c.cmp, Cmp::Ge | Cmp::Eq)
             && (c.rhs - 1.0).abs() <= tol
             && !c.terms.is_empty()
@@ -321,21 +377,26 @@ fn cover_groups(problem: &Problem, tol: f64) -> Vec<CoverGroup> {
                 .iter()
                 .all(|&(v, coef)| (coef - 1.0).abs() <= tol && member_ok(v))
         {
-            let mut members: Vec<usize> = c.terms.iter().map(|&(v, _)| v.0).collect();
-            members.sort_unstable();
+            let Some(members) = distinct(c.terms.iter().map(|&(v, _)| v.0).collect()) else {
+                continue;
+            };
             if let Some(g) = slot_for(&members, &mut groups) {
-                groups[g].always = true;
+                let group = &mut groups[g];
+                group.always += 1;
+                group.active_rows.push(r);
+                group.exactly_one |= c.cmp == Cmp::Eq;
+                row_group[r] = Some(g);
             }
         } else if c.cmp == Cmp::Le && c.rhs.abs() <= tol {
             let mut trigger = None;
             let mut members = vec![];
             let mut usable = true;
             for &(v, coef) in &c.terms {
+                usable &= member_ok(v);
                 if (coef - 1.0).abs() <= tol {
-                    usable &= trigger.is_none() && problem.kinds()[v.0] == VarKind::Binary;
+                    usable &= trigger.is_none();
                     trigger = Some(v.0);
                 } else if (coef + 1.0).abs() <= tol {
-                    usable &= member_ok(v);
                     members.push(v.0);
                 } else {
                     usable = false;
@@ -345,13 +406,16 @@ fn cover_groups(problem: &Problem, tol: f64) -> Vec<CoverGroup> {
             if !usable || members.is_empty() {
                 continue;
             }
-            members.sort_unstable();
+            let Some(members) = distinct(members) else {
+                continue;
+            };
             if let Some(g) = slot_for(&members, &mut groups) {
-                groups[g].triggers.push(trigger);
+                groups[g].triggers.push((trigger, r));
+                row_group[r] = Some(g);
             }
         }
     }
-    groups
+    (groups, row_group)
 }
 
 /// True if `lhs cmp rhs` fails by more than `tol`.
@@ -391,9 +455,12 @@ impl Activity {
     }
 }
 
-/// The state of one row, kept in one place so a bound change touches one
-/// cache line per row it appears in.
+/// The state of one generic row (a constraint outside every cover group),
+/// kept in one place so a bound change touches one cache line per row it
+/// appears in.
 struct Row {
+    /// The constraint's index in the problem.
+    index: usize,
     cmp: Cmp,
     rhs: f64,
     /// The widest `|coef| * (domain width)` over the row's terms: no bound
@@ -480,7 +547,9 @@ enum Undo {
     /// Cover group `g` was charged the given amount.
     Charge(usize, f64),
     /// Cover group `g`'s cheapest-member cursor was at the given position.
-    Cursor(usize, usize),
+    Cheap(usize, usize),
+    /// Cover group `g`'s costliest-member cursor was at the given position.
+    Dear(usize, usize),
 }
 
 /// The scalar search state, saved whole with every open node.
@@ -489,10 +558,18 @@ struct Scalars {
     /// The bounds-only objective term: each variable at its
     /// objective-cheapest bound (the cheap completion's objective).
     obj_term: f64,
-    /// Sum of the finite cover-group charges.
+    /// Sum of the cover-group charges.
     group_sum: f64,
-    /// Active groups with no member left (each makes the bound infinite).
-    dead_groups: usize,
+}
+
+impl Scalars {
+    /// A valid lower bound on the objective under the bounds these scalars
+    /// were kept for: the bounds-only term plus every active, unsatisfied
+    /// cover group's cheapest available member. The member sets are
+    /// variable-disjoint, so the charges add without double counting.
+    fn lower_bound(&self) -> f64 {
+        self.obj_term + self.group_sum
+    }
 }
 
 /// An open node: the parent's state (the trail mark and its scalars) plus
@@ -519,41 +596,62 @@ struct Search<'a> {
     rejected: usize,
 
     integral: Vec<bool>,
+    /// The rows outside every cover group.
     rows: Vec<Row>,
-    /// The `(row, coef)` occurrences of variable `v` are
+    /// The cover group that absorbed each problem row, if any.
+    row_group: Vec<Option<usize>>,
+    /// The `(generic row, coef)` occurrences of variable `v` are
     /// `occ[occ_start[v]..occ_start[v + 1]]`.
     occ_start: Vec<usize>,
     occ: Vec<(usize, f64)>,
-    /// Pairwise member-disjoint covering groups of binary variables with
-    /// nonnegative objective coefficients. A group is *always* active when
-    /// a `sum == 1` / `sum >= 1` unit-coefficient row covers it, and
-    /// *conditionally* active when an implication row `x_t - sum <= 0`
-    /// covers it and the trigger `x_t` is fixed to 1. Every active
-    /// unsatisfied group independently forces at least its cheapest
-    /// available member into any completion — a valid additive
-    /// strengthening of the bounds-only objective lower bound, because the
-    /// member sets share no variables. Extraction encodings are made of
-    /// exactly such rows (one group per e-class, triggered by the parent
-    /// candidates that need the class), which is what lets the solver prove
-    /// a greedy-seeded incumbent optimal without enumerating the selection
-    /// lattice: committing to a candidate immediately charges every class
-    /// it pulls in at that class's cheapest rate.
+    /// Pairwise member-disjoint cover groups. Every active unsatisfied
+    /// group independently forces at least its cheapest available member
+    /// into any completion — a valid additive strengthening of the
+    /// bounds-only objective lower bound, because the member sets share no
+    /// variables. In an extraction encoding committing to a candidate
+    /// immediately charges every class it pulls in at that class's
+    /// cheapest rate.
     groups: Vec<CoverGroup>,
     member_of: Vec<Option<usize>>,
-    triggers_of: Vec<Vec<usize>>,
+    /// The `(group, row)` implications variable `v` triggers are
+    /// `trig[trig_start[v]..trig_start[v + 1]]`.
+    trig_start: Vec<usize>,
+    trig: Vec<(usize, usize)>,
 
     lo: Vec<f64>,
     hi: Vec<f64>,
     trail: Vec<Undo>,
     queue: VecDeque<usize>,
+    group_queue: Vec<usize>,
     /// Rows the cheap completion violates by more than the tolerance.
     violated: RowSet,
     /// Rows it violates by more than ten times the tolerance (the
-    /// feasibility test's slack): the completion is feasible iff zero.
+    /// feasibility test's slack): the completion is feasible iff zero. A
+    /// grouped row's activity is integral, so both tests agree on it.
     hard_violated: usize,
-    /// Groups whose members or triggers moved since the last recharge.
-    dirty: Vec<usize>,
     scalars: Scalars,
+}
+
+/// Compressed lists: entry `i` of `lists` lands in
+/// `items[start[i]..start[i + 1]]`, in order.
+fn compress<T: Copy + Default>(
+    n: usize,
+    lists: impl Iterator<Item = (usize, T)> + Clone,
+) -> (Vec<usize>, Vec<T>) {
+    let mut start = vec![0; n + 1];
+    for (i, _) in lists.clone() {
+        start[i + 1] += 1;
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start.clone();
+    let mut items = vec![T::default(); start[n]];
+    for (i, item) in lists {
+        items[fill[i]] = item;
+        fill[i] += 1;
+    }
+    (start, items)
 }
 
 impl<'a> Search<'a> {
@@ -565,26 +663,16 @@ impl<'a> Search<'a> {
         start: Instant,
     ) -> Self {
         let n = problem.num_vars();
-        let m = problem.num_constraints();
         let kinds = problem.kinds();
-        let mut occ_start = vec![0; n + 1];
-        for c in problem.constraints() {
-            for &(v, _) in &c.terms {
-                occ_start[v.0 + 1] += 1;
-            }
-        }
-        for v in 0..n {
-            occ_start[v + 1] += occ_start[v];
-        }
-        let mut fill = occ_start.clone();
-        let mut occ = vec![(0, 0.0); occ_start[n]];
-        let mut rows = Vec::with_capacity(m);
+        let obj = problem.objective();
+        let (mut groups, row_group) = cover_groups(problem, cfg.tolerance);
+        let mut rows = vec![];
         for (r, c) in problem.constraints().iter().enumerate() {
-            for &(v, coef) in &c.terms {
-                occ[fill[v.0]] = (r, coef);
-                fill[v.0] += 1;
+            if row_group[r].is_some() {
+                continue;
             }
             rows.push(Row {
+                index: r,
                 cmp: c.cmp,
                 rhs: c.rhs,
                 max_range: c
@@ -598,23 +686,35 @@ impl<'a> Search<'a> {
                 queued: false,
             });
         }
-        let mut groups = cover_groups(problem, cfg.tolerance);
-        let obj = problem.objective();
-        for group in &mut groups {
+        let constraints = problem.constraints();
+        let (occ_start, occ) = compress(
+            n,
+            rows.iter().enumerate().flat_map(|(k, row)| {
+                (constraints[row.index].terms.iter()).map(move |&(v, coef)| (v.0, (k, coef)))
+            }),
+        );
+        let mut member_of = vec![None; n];
+        for (g, group) in groups.iter_mut().enumerate() {
             group
                 .members
                 .sort_by(|&a, &b| obj[a].total_cmp(&obj[b]).then(a.cmp(&b)));
-        }
-        let mut member_of = vec![None; n];
-        let mut triggers_of = vec![vec![]; n];
-        for (g, group) in groups.iter().enumerate() {
+            // Ranked by |cost| like `costliest_unfixed`, so both pick alike
+            // (a cost of -0.0 included).
+            group.dear = group.members.clone();
+            group
+                .dear
+                .sort_by(|&a, &b| obj[b].abs().total_cmp(&obj[a].abs()).then(a.cmp(&b)));
             for &v in &group.members {
                 member_of[v] = Some(g);
             }
-            for &t in &group.triggers {
-                triggers_of[t].push(g);
-            }
         }
+        let (trig_start, trig) = compress(
+            n,
+            groups
+                .iter()
+                .enumerate()
+                .flat_map(|(g, group)| group.triggers.iter().map(move |&(t, r)| (t, (g, r)))),
+        );
         let mut search = Search {
             problem,
             cfg,
@@ -629,22 +729,23 @@ impl<'a> Search<'a> {
             rejected: 0,
             integral: kinds.iter().map(VarKind::is_integral).collect(),
             rows,
+            row_group,
             occ_start,
             occ,
             groups,
             member_of,
-            triggers_of,
+            trig_start,
+            trig,
             lo: kinds.iter().map(VarKind::lo).collect(),
             hi: kinds.iter().map(VarKind::hi).collect(),
             trail: vec![],
             queue: VecDeque::new(),
-            violated: RowSet::new(m),
+            group_queue: vec![],
+            violated: RowSet::new(problem.num_constraints()),
             hard_violated: 0,
-            dirty: vec![],
             scalars: Scalars {
                 obj_term: 0.0,
                 group_sum: 0.0,
-                dead_groups: 0,
             },
         };
         search.rebuild_derived();
@@ -658,6 +759,16 @@ impl<'a> Search<'a> {
             .count()
     }
 
+    /// True when `v`'s lower bound is 1 (a binary is set).
+    fn is_set(&self, v: usize) -> bool {
+        self.lo[v] >= 1.0 - self.tol
+    }
+
+    /// True when `v`'s upper bound is 1 (a binary may still be set).
+    fn can_set(&self, v: usize) -> bool {
+        self.hi[v] >= 1.0 - self.tol
+    }
+
     /// The cheap completion's value for `v`: whichever bound minimizes its
     /// objective term.
     fn completion_value(&self, v: usize) -> f64 {
@@ -668,11 +779,11 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Row `r`'s minimum, maximum and cheap-completion activities, summed
-    /// afresh from the current bounds.
-    fn fresh_activities(&self, r: usize) -> (Activity, Activity, f64) {
+    /// Generic row `k`'s minimum, maximum and cheap-completion activities,
+    /// summed afresh from the current bounds.
+    fn fresh_activities(&self, k: usize) -> (Activity, Activity, f64) {
         let (mut min_act, mut max_act, mut lhs) = (Activity::default(), Activity::default(), 0.0);
-        for &(v, coef) in &self.problem.constraints()[r].terms {
+        for &(v, coef) in &self.problem.constraints()[self.rows[k].index].terms {
             let (at_lo, at_hi) = (coef * self.lo[v.0], coef * self.hi[v.0]);
             if coef > 0.0 {
                 min_act.add(at_lo);
@@ -686,18 +797,34 @@ impl<'a> Search<'a> {
         (min_act, max_act, lhs)
     }
 
+    /// The rows of group `g` in force under the current bounds, recomputed:
+    /// its always rows, then its implications with a set trigger.
+    fn fresh_active_rows(&self, g: usize) -> Vec<usize> {
+        let group = &self.groups[g];
+        let implications = group.triggers.iter().filter(|&&(t, _)| self.is_set(t));
+        (group.active_rows[..group.always].iter().copied())
+            .chain(implications.map(|&(_, r)| r))
+            .collect()
+    }
+
+    /// The first member of group `g` in `order` at or after `at` that may
+    /// still be set.
+    fn first_available(&self, order: &[usize], at: usize) -> Option<usize> {
+        (order[at..].iter().position(|&v| self.can_set(v))).map(|k| at + k)
+    }
+
     /// Recomputes every derived quantity from `lo`/`hi` from scratch, in
     /// the summation order a fresh evaluation uses.
     fn rebuild_derived(&mut self) {
         let tol = self.tol;
-        self.violated = RowSet::new(self.rows.len());
+        self.violated = RowSet::new(self.row_group.len());
         self.hard_violated = 0;
-        for r in 0..self.rows.len() {
-            let (min_act, max_act, lhs) = self.fresh_activities(r);
-            let row = &mut self.rows[r];
+        for k in 0..self.rows.len() {
+            let (min_act, max_act, lhs) = self.fresh_activities(k);
+            let row = &mut self.rows[k];
             (row.min_act, row.max_act, row.lhs) = (min_act, max_act, lhs);
             if violates(row.cmp, lhs, row.rhs, tol) {
-                self.violated.insert(r);
+                self.violated.insert(row.index);
             }
             if violates(row.cmp, lhs, row.rhs, tol * 10.0) {
                 self.hard_violated += 1;
@@ -710,31 +837,36 @@ impl<'a> Search<'a> {
             .enumerate()
             .map(|(i, &c)| c * self.completion_value(i))
             .sum();
-        for g in self.dirty.drain(..) {
-            self.groups[g].dirty = false;
-        }
-        let (lo, hi) = (&self.lo, &self.hi);
-        let count = |vars: &[usize]| vars.iter().filter(|&&v| lo[v] >= 1.0 - tol).count();
-        for group in &mut self.groups {
-            group.active = count(&group.triggers);
-            group.selected = count(&group.members);
-            group.cursor = (group.members.iter())
-                .position(|&v| hi[v] >= 1.0 - tol)
-                .unwrap_or(group.members.len());
-        }
+        self.scalars.group_sum = 0.0;
         for g in 0..self.groups.len() {
-            self.groups[g].charge = self.group_charge(g);
+            let active_rows = self.fresh_active_rows(g);
+            let group = &self.groups[g];
+            let selected = group.members.iter().filter(|&&v| self.is_set(v)).count();
+            let available = group.members.iter().filter(|&&v| self.can_set(v)).count();
+            let cheap = self.first_available(&group.members, 0);
+            let dear_at = self.first_available(&group.dear, 0);
+            let charge = self.group_charge(g);
+            let group = &mut self.groups[g];
+            let len = group.members.len();
+            (group.selected, group.available) = (selected, available);
+            (group.cheap, group.dear_at) = (cheap.unwrap_or(len), dear_at.unwrap_or(len));
+            group.charge = charge;
+            self.scalars.group_sum += charge;
+            if selected == 0 {
+                for &r in &active_rows {
+                    self.violated.insert(r);
+                }
+                self.hard_violated += active_rows.len();
+            }
+            group.active_rows = active_rows;
         }
-        let charges = || self.groups.iter().map(|group| group.charge);
-        self.scalars.group_sum = charges().filter(|c| c.is_finite()).sum();
-        self.scalars.dead_groups = charges().filter(|c| c.is_infinite()).count();
     }
 
-    /// Shifts row `r`'s completion activity, keeping the violated set and
-    /// the hard-violation count in step.
-    fn shift_lhs(&mut self, r: usize, delta: f64) {
+    /// Shifts generic row `k`'s completion activity, keeping the violated
+    /// set and the hard-violation count in step.
+    fn shift_lhs(&mut self, k: usize, delta: f64) {
         let tol = self.tol;
-        let row = &mut self.rows[r];
+        let row = &mut self.rows[k];
         let (cmp, rhs) = (row.cmp, row.rhs);
         let status = |lhs| {
             (
@@ -747,9 +879,9 @@ impl<'a> Search<'a> {
         let now = status(row.lhs);
         if was.0 != now.0 {
             if now.0 {
-                self.violated.insert(r);
+                self.violated.insert(row.index);
             } else {
-                self.violated.remove(r);
+                self.violated.remove(row.index);
             }
         }
         if was.1 != now.1 {
@@ -761,51 +893,64 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// What a cover group adds to the lower bound: nothing when inactive or
-    /// already satisfied at the lower bounds, else its cheapest available
-    /// member (`+inf` when none is left — an infeasibility proof).
+    /// What cover group `g` adds to the lower bound, recomputed: nothing
+    /// when no row is in force or a member is selected, else its cheapest
+    /// available member (`+inf` when none is left — an infeasibility
+    /// proof, which propagation reports as a conflict first).
     fn group_charge(&self, g: usize) -> f64 {
         let group = &self.groups[g];
-        if !group.always && group.active == 0 {
+        let active = group.always > 0 || group.triggers.iter().any(|&(t, _)| self.is_set(t));
+        if !active {
             return 0.0;
         }
         let obj = self.problem.objective();
         let mut cheapest = f64::INFINITY;
         for &i in &group.members {
-            if self.lo[i] >= 1.0 - self.tol {
+            if self.is_set(i) {
                 // Already selected: its cost is in the bounds-only term.
                 return 0.0;
             }
-            if self.hi[i] >= 1.0 - self.tol {
+            if self.can_set(i) {
                 cheapest = cheapest.min(obj[i]);
             }
         }
         cheapest
     }
 
-    /// Queues row `r` unless it is queued already or provably cannot
-    /// tighten a bound: a side whose activity is unbounded implies nothing,
-    /// and a term tightens only when the side's slack is below the term's
-    /// range by more than the tolerance, so a slack of at least the row's
-    /// widest range implies nothing either.
-    fn queue_if_useful(&mut self, r: usize) {
-        let row = &mut self.rows[r];
+    /// Queues generic row `k` unless it is queued already or provably
+    /// cannot tighten a bound: a side whose activity is unbounded implies
+    /// nothing, and a term tightens only when the side's slack is below the
+    /// term's range by more than the tolerance, so a slack of at least the
+    /// row's widest range implies nothing either.
+    fn queue_if_useful(&mut self, k: usize) {
+        let row = &mut self.rows[k];
         let (min_act, max_act) = (row.min_act, row.max_act);
         if !row.queued
             && ((row.le() && min_act.infinite == 0 && row.rhs - min_act.finite < row.max_range)
                 || (row.ge() && max_act.infinite == 0 && max_act.finite - row.rhs < row.max_range))
         {
             row.queued = true;
-            self.queue.push_back(r);
+            self.queue.push_back(k);
         }
     }
 
-    fn queue_all_rows(&mut self) {
-        for (r, row) in self.rows.iter_mut().enumerate() {
+    fn queue_group(&mut self, g: usize) {
+        if !self.groups[g].queued {
+            self.groups[g].queued = true;
+            self.group_queue.push(g);
+        }
+    }
+
+    /// Queues every generic row and every group (the presolve).
+    fn queue_everything(&mut self) {
+        for (k, row) in self.rows.iter_mut().enumerate() {
             if !row.queued {
                 row.queued = true;
-                self.queue.push_back(r);
+                self.queue.push_back(k);
             }
+        }
+        for g in 0..self.groups.len() {
+            self.queue_group(g);
         }
     }
 
@@ -819,11 +964,11 @@ impl<'a> Search<'a> {
         self.move_bound(v, value, false, true);
     }
 
-    /// Moves `lo[v]` (`is_lower`) or `hi[v]` to `value` and keeps the row
-    /// activities, the completion, and the cover-group counts in step.
-    /// `forward` is false when undoing: then no row is queued, no group is
-    /// marked dirty (the trail restores the charges), and the scalars are
-    /// left alone (the open node restores them whole).
+    /// Moves `lo[v]` (`is_lower`) or `hi[v]` to `value` and keeps the
+    /// generic rows' activities, the completion, and the cover-group counts
+    /// and row lists in step. `forward` is false when undoing: then nothing
+    /// is queued (the trail restores the charges and cursors), and the
+    /// scalars are left alone (the open node restores them whole).
     fn move_bound(&mut self, v: usize, value: f64, is_lower: bool, forward: bool) {
         let old = if is_lower { self.lo[v] } else { self.hi[v] };
         if is_lower {
@@ -850,88 +995,173 @@ impl<'a> Search<'a> {
                 self.queue_if_useful(r);
             }
         }
-        let tol = self.tol;
-        if is_lower && (old >= 1.0 - tol) != (value >= 1.0 - tol) {
-            let step = |count: &mut usize| {
-                if value >= 1.0 - tol {
-                    *count += 1;
-                } else {
-                    *count -= 1;
-                }
-            };
-            for k in 0..self.triggers_of[v].len() {
-                let g = self.triggers_of[v][k];
-                step(&mut self.groups[g].active);
-                if forward {
-                    self.mark_dirty(g);
-                }
+        if forward && completion_moves {
+            self.scalars.obj_term += self.problem.objective()[v] * delta;
+        }
+        let one = 1.0 - self.tol;
+        let now = value >= one;
+        if (old >= one) == now {
+            return;
+        }
+        let member = self.member_of[v];
+        let triggered = self.trig_start[v]..self.trig_start[v + 1];
+        if !is_lower {
+            if let Some(g) = member {
+                let available = &mut self.groups[g].available;
+                *available = if now { *available + 1 } else { *available - 1 };
             }
-            if let Some(g) = self.member_of[v] {
-                step(&mut self.groups[g].selected);
+        } else if now {
+            // Selection before activation, so the undo below can run the
+            // two in reverse when `v` triggers its own group.
+            if let Some(g) = member {
+                self.select(g, true);
+            }
+            for k in triggered.clone() {
+                let (g, r) = self.trig[k];
+                self.activate(g, r, true);
+            }
+        } else {
+            for k in triggered.clone().rev() {
+                let (g, r) = self.trig[k];
+                self.activate(g, r, false);
+            }
+            if let Some(g) = member {
+                self.select(g, false);
             }
         }
         if forward {
-            if completion_moves {
-                self.scalars.obj_term += self.problem.objective()[v] * delta;
+            if let Some(g) = member {
+                self.queue_group(g);
             }
-            if let Some(g) = self.member_of[v] {
-                self.mark_dirty(g);
+            if is_lower {
+                for k in triggered {
+                    self.queue_group(self.trig[k].0);
+                }
             }
         }
     }
 
-    fn mark_dirty(&mut self, g: usize) {
-        if !self.groups[g].dirty {
-            self.groups[g].dirty = true;
-            self.dirty.push(g);
+    /// Counts a member of group `g` in (`on`) or out of the selection. When
+    /// the group's satisfaction flips, each row in force leaves or joins
+    /// the violated set.
+    fn select(&mut self, g: usize, on: bool) {
+        let group = &mut self.groups[g];
+        if on {
+            group.selected += 1;
+        } else {
+            group.selected -= 1;
+        }
+        if group.selected != usize::from(on) {
+            return;
+        }
+        for &r in &group.active_rows {
+            if on {
+                self.violated.remove(r);
+            } else {
+                self.violated.insert(r);
+            }
+        }
+        if on {
+            self.hard_violated -= group.active_rows.len();
+        } else {
+            self.hard_violated += group.active_rows.len();
         }
     }
 
-    /// [`Search::group_charge`] from the kept counts: an active,
-    /// unsatisfied group advances its cursor past the members no longer
-    /// available and charges the one it lands on.
-    fn recharge(&mut self, g: usize) -> f64 {
+    /// Puts implication row `r` of group `g` in force (`on`, its trigger
+    /// was set) or takes it out (undoing that, so it is the last row in).
+    fn activate(&mut self, g: usize, r: usize, on: bool) {
+        let group = &mut self.groups[g];
+        if on {
+            group.active_rows.push(r);
+        } else {
+            let last = group.active_rows.pop();
+            debug_assert_eq!(last, Some(r), "rows leave in reverse order");
+        }
+        if group.selected == 0 {
+            if on {
+                self.violated.insert(r);
+                self.hard_violated += 1;
+            } else {
+                self.violated.remove(r);
+                self.hard_violated -= 1;
+            }
+        }
+    }
+
+    /// Advances group `g`'s cheapest-member (or, `dear`, costliest-member)
+    /// cursor to the first member that may still be set, on the trail, and
+    /// returns that member (`None` when none is left).
+    fn advance_cursor(&mut self, g: usize, dear: bool) -> Option<usize> {
         let group = &self.groups[g];
-        if (!group.always && group.active == 0) || group.selected > 0 {
-            return 0.0;
-        }
-        let old = group.cursor;
-        let mut at = old;
-        while at < group.members.len() && self.hi[group.members[at]] < 1.0 - self.tol {
-            at += 1;
-        }
-        let charge = group
-            .members
-            .get(at)
-            .map_or(f64::INFINITY, |&i| self.problem.objective()[i]);
+        let (order, old) = if dear {
+            (&group.dear, group.dear_at)
+        } else {
+            (&group.members, group.cheap)
+        };
+        let at = self.first_available(order, old)?;
+        let v = order[at];
         if at != old {
-            self.trail.push(Undo::Cursor(g, old));
-            self.groups[g].cursor = at;
+            let group = &mut self.groups[g];
+            if dear {
+                self.trail.push(Undo::Dear(g, old));
+                group.dear_at = at;
+            } else {
+                self.trail.push(Undo::Cheap(g, old));
+                group.cheap = at;
+            }
         }
-        charge
+        Some(v)
     }
 
-    /// Recharges every group whose members or triggers moved.
-    fn settle_groups(&mut self) {
-        while let Some(g) = self.dirty.pop() {
-            self.groups[g].dirty = false;
-            let (old, new) = (self.groups[g].charge, self.recharge(g));
-            if old == new {
-                continue;
+    /// Applies group `g`'s rules (see [`CoverGroup`]) and recharges it.
+    /// Returns false on a conflict.
+    fn settle_group(&mut self, g: usize) -> bool {
+        let group = &self.groups[g];
+        let active = !group.active_rows.is_empty();
+        if (group.exactly_one && group.selected > 1) || (active && group.available == 0) {
+            return false;
+        }
+        if group.available == 0 {
+            for k in 0..group.triggers.len() {
+                let t = self.groups[g].triggers[k].0;
+                if self.can_set(t) {
+                    self.set_hi(t, 0.0);
+                }
             }
+        } else if active && group.selected == 0 && group.available == 1 {
+            let last = self.advance_cursor(g, false).expect("one member is left");
+            self.set_lo(last, 1.0);
+        }
+        let group = &self.groups[g];
+        if group.exactly_one && group.selected == 1 && group.available > 1 {
+            for k in 0..group.members.len() {
+                let v = self.groups[g].members[k];
+                if !self.is_set(v) && self.can_set(v) {
+                    self.set_hi(v, 0.0);
+                }
+            }
+        }
+        self.recharge(g);
+        true
+    }
+
+    /// Brings group `g`'s charge and the charge sum up to date.
+    fn recharge(&mut self, g: usize) {
+        let group = &self.groups[g];
+        let new = if group.active_rows.is_empty() || group.selected > 0 {
+            0.0
+        } else {
+            // A settled active group keeps a member: none left is a conflict.
+            let cheapest = self.advance_cursor(g, false).expect("a member is left");
+            self.problem.objective()[cheapest]
+        };
+        let old = self.groups[g].charge;
+        if old != new {
             self.trail.push(Undo::Charge(g, old));
             self.groups[g].charge = new;
-            let s = &mut self.scalars;
-            if old.is_finite() {
-                s.group_sum -= old;
-            } else {
-                s.dead_groups -= 1;
-            }
-            if new.is_finite() {
-                s.group_sum += new;
-            } else {
-                s.dead_groups += 1;
-            }
+            self.scalars.group_sum -= old;
+            self.scalars.group_sum += new;
         }
     }
 
@@ -941,7 +1171,8 @@ impl<'a> Search<'a> {
                 Undo::Lo(v, old) => self.move_bound(v, old, true, false),
                 Undo::Hi(v, old) => self.move_bound(v, old, false, false),
                 Undo::Charge(g, old) => self.groups[g].charge = old,
-                Undo::Cursor(g, old) => self.groups[g].cursor = old,
+                Undo::Cheap(g, old) => self.groups[g].cheap = old,
+                Undo::Dear(g, old) => self.groups[g].dear_at = old,
             }
         }
     }
@@ -957,28 +1188,39 @@ impl<'a> Search<'a> {
         self.limit.is_some()
     }
 
-    /// Activity-based bound tightening, run from the queue of rows whose
-    /// activity changed until no row can tighten anything. Returns false on
-    /// a conflict (the queue is then emptied).
+    /// Runs the group queue and the queue of generic rows whose activity
+    /// changed until nothing can tighten a bound. Returns false on a
+    /// conflict (both queues are then emptied).
     fn propagate(&mut self) -> bool {
-        while let Some(r) = self.queue.pop_front() {
-            self.rows[r].queued = false;
-            if !self.tighten_row(r) {
-                for r in self.queue.drain(..) {
-                    self.rows[r].queued = false;
+        loop {
+            let feasible = if let Some(g) = self.group_queue.pop() {
+                self.groups[g].queued = false;
+                self.settle_group(g)
+            } else if let Some(k) = self.queue.pop_front() {
+                self.rows[k].queued = false;
+                self.tighten_row(k)
+            } else {
+                return true;
+            };
+            if !feasible {
+                for g in self.group_queue.drain(..) {
+                    self.groups[g].queued = false;
+                }
+                for k in self.queue.drain(..) {
+                    self.rows[k].queued = false;
                 }
                 return false;
             }
         }
-        true
     }
 
-    /// Tightens every variable of row `r` against the residual activity of
-    /// the others. Returns false when the row cannot be satisfied.
-    fn tighten_row(&mut self, r: usize) -> bool {
+    /// Tightens every variable of generic row `k` against the residual
+    /// activity of the others. Returns false when the row cannot be
+    /// satisfied.
+    fn tighten_row(&mut self, k: usize) -> bool {
         let tol = self.tol;
         let problem = self.problem;
-        let c = &problem.constraints()[r];
+        let c = &problem.constraints()[self.rows[k].index];
         // Minimum and maximum possible activity under current bounds.
         let mut min_act = 0.0;
         let mut max_act = 0.0;
@@ -991,8 +1233,8 @@ impl<'a> Search<'a> {
                 max_act += coef * self.lo[v.0];
             }
         }
-        let need_le = self.rows[r].le();
-        let need_ge = self.rows[r].ge();
+        let need_le = self.rows[k].le();
+        let need_ge = self.rows[k].ge();
         if need_le && min_act > c.rhs + tol {
             return false;
         }
@@ -1051,19 +1293,6 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// A valid lower bound on the objective under the current bounds: the
-    /// bounds-only term plus every active, unsatisfied cover group's
-    /// cheapest available member. The member sets are variable-disjoint,
-    /// so the charges add without double counting; an active group with no
-    /// member left is an infeasibility proof (bound `+inf`).
-    fn lower_bound(&self) -> f64 {
-        if self.scalars.dead_groups > 0 {
-            f64::INFINITY
-        } else {
-            self.scalars.obj_term + self.scalars.group_sum
-        }
-    }
-
     /// The objective-cheapest completion of the current bounds: every
     /// unfixed variable sits at whichever bound minimizes its objective
     /// term. Its objective equals the node's lower bound, so if it is
@@ -1074,29 +1303,40 @@ impl<'a> Search<'a> {
             .collect()
     }
 
+    /// The unfixed integral variable with the largest-magnitude objective
+    /// coefficient among `vars`, ties to the lowest index.
+    fn costliest_unfixed(&self, vars: impl Iterator<Item = usize>) -> Option<usize> {
+        let obj = self.problem.objective();
+        vars.filter(|&i| self.integral[i] && self.hi[i] - self.lo[i] > self.tol)
+            .max_by(|&a, &b| {
+                obj[a].abs().total_cmp(&obj[b].abs()).then(b.cmp(&a)) // prefer the lower index on ties
+            })
+    }
+
     /// Picks a branching variable: among the unfixed integral variables of
     /// the first constraint violated by the cheap completion, the one with
     /// the largest-magnitude objective coefficient (deciding expensive
     /// variables first moves the lower bound fastest), falling back to the
     /// costliest unfixed integral variable overall. Ties break on the lowest
-    /// index, so the choice is deterministic.
-    fn pick_branch_var(&self) -> Option<usize> {
-        let obj = self.problem.objective();
-        let unfixed = |i: usize| self.integral[i] && self.hi[i] - self.lo[i] > self.tol;
-        let costliest = |vars: &mut dyn Iterator<Item = usize>| -> Option<usize> {
-            vars.filter(|&i| unfixed(i)).max_by(|&a, &b| {
-                obj[a].abs().total_cmp(&obj[b].abs()).then(b.cmp(&a)) // prefer the lower index on ties
-            })
-        };
+    /// index, so the choice is deterministic. A violated grouped row's
+    /// trigger is set and none of its members is, so its choice is the
+    /// group's first available member in costliest-first order.
+    fn pick_branch_var(&mut self) -> Option<usize> {
         let mut next = self.violated.next(0);
         while let Some(r) = next {
-            let terms = &self.problem.constraints()[r].terms;
-            if let Some(v) = costliest(&mut terms.iter().map(|(v, _)| v.0)) {
-                return Some(v);
+            let choice = match self.row_group[r] {
+                Some(g) => self.advance_cursor(g, true),
+                None => {
+                    let terms = &self.problem.constraints()[r].terms;
+                    self.costliest_unfixed(terms.iter().map(|(v, _)| v.0))
+                }
+            };
+            if choice.is_some() {
+                return choice;
             }
             next = self.violated.next(r + 1);
         }
-        costliest(&mut (0..self.problem.num_vars()))
+        self.costliest_unfixed(0..self.problem.num_vars())
     }
 
     /// Offers an improving feasible assignment to the incumbent check and
@@ -1111,89 +1351,133 @@ impl<'a> Search<'a> {
     }
 
     /// Checks every incrementally kept quantity against a recomputation
-    /// from the current bounds.
+    /// from the current bounds, and that no cover-group rule has anything
+    /// left to do.
     #[cfg(test)]
     fn assert_derived_fresh(&self) {
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
+        let mut violated = vec![false; self.row_group.len()];
         let mut hard = 0;
-        for (r, row) in self.rows.iter().enumerate() {
-            let (min_act, max_act, lhs) = self.fresh_activities(r);
+        for (k, row) in self.rows.iter().enumerate() {
+            let (min_act, max_act, lhs) = self.fresh_activities(k);
             for (kept, fresh) in [(row.min_act, min_act), (row.max_act, max_act)] {
-                assert_eq!(kept.infinite, fresh.infinite, "row {r} activity");
-                assert!(close(kept.finite, fresh.finite), "row {r} activity");
+                assert_eq!(kept.infinite, fresh.infinite, "row {} activity", row.index);
+                assert!(
+                    close(kept.finite, fresh.finite),
+                    "row {} activity",
+                    row.index
+                );
             }
-            assert!(close(row.lhs, lhs), "row {r} completion activity");
-            let violated = violates(row.cmp, row.lhs, row.rhs, self.tol);
-            assert_eq!(
-                self.violated.next(r) == Some(r),
-                violated,
-                "row {r} violation"
-            );
+            assert!(close(row.lhs, lhs), "row {} completion activity", row.index);
+            violated[row.index] = violates(row.cmp, row.lhs, row.rhs, self.tol);
             hard += usize::from(violates(row.cmp, row.lhs, row.rhs, self.tol * 10.0));
         }
-        assert_eq!(self.hard_violated, hard);
         let obj_term: f64 = (0..self.lo.len())
             .map(|i| self.problem.objective()[i] * self.completion_value(i))
             .sum();
         assert!(close(self.scalars.obj_term, obj_term));
-        let (mut group_sum, mut dead) = (0.0, 0);
+        let mut group_sum = 0.0;
         for (g, group) in self.groups.iter().enumerate() {
-            let active = group
-                .triggers
-                .iter()
-                .filter(|&&t| self.lo[t] >= 1.0 - self.tol);
-            assert_eq!(group.active, active.count(), "group {g} triggers");
-            let selected = group
-                .members
-                .iter()
-                .filter(|&&v| self.lo[v] >= 1.0 - self.tol);
-            assert_eq!(group.selected, selected.count(), "group {g} members");
-            let skipped = &group.members[..group.cursor];
-            assert!(
-                skipped.iter().all(|&v| self.hi[v] < 1.0 - self.tol),
-                "group {g} cursor"
+            let count =
+                |test: &dyn Fn(usize) -> bool| group.members.iter().filter(|&&v| test(v)).count();
+            assert_eq!(
+                group.selected,
+                count(&|v| self.is_set(v)),
+                "group {g} selected"
             );
+            assert_eq!(
+                group.available,
+                count(&|v| self.can_set(v)),
+                "group {g} available"
+            );
+            let mut kept = group.active_rows.clone();
+            let mut fresh = self.fresh_active_rows(g);
+            assert_eq!(
+                kept[..group.always],
+                fresh[..group.always],
+                "group {g} always rows"
+            );
+            kept.sort_unstable();
+            fresh.sort_unstable();
+            assert_eq!(kept, fresh, "group {g} rows in force");
+            for (order, at) in [(&group.members, group.cheap), (&group.dear, group.dear_at)] {
+                assert!(
+                    order[..at].iter().all(|&v| !self.can_set(v)),
+                    "group {g} cursor"
+                );
+            }
+            if group.selected == 0 {
+                for &r in &fresh {
+                    violated[r] = true;
+                }
+                hard += fresh.len();
+            }
             let charge = self.group_charge(g);
             assert_eq!(group.charge, charge, "group {g} charge");
-            if charge.is_finite() {
-                group_sum += charge;
-            } else {
-                dead += 1;
-            }
+            group_sum += charge;
+            // The rules are at their fixpoint.
+            let active = !fresh.is_empty();
+            assert!(group.available > 0 || !active, "group {g} conflict");
+            assert!(
+                group.available > 0 || group.triggers.iter().all(|&(t, _)| !self.can_set(t)),
+                "group {g} settable trigger with no member left"
+            );
+            assert!(
+                !active || group.selected > 0 || group.available > 1,
+                "group {g} unforced last member"
+            );
+            assert!(
+                !group.exactly_one || group.selected != 1 || group.available == 1,
+                "group {g} second member allowed"
+            );
         }
+        for (r, &expected) in violated.iter().enumerate() {
+            assert_eq!(
+                self.violated.next(r) == Some(r),
+                expected,
+                "row {r} violation"
+            );
+        }
+        assert_eq!(self.hard_violated, hard);
         assert!(close(self.scalars.group_sum, group_sum));
-        assert_eq!(self.scalars.dead_groups, dead);
     }
 
     /// Depth-first branch-and-bound over an explicit worklist of open
-    /// nodes. The search tree's depth scales with the number of integral
-    /// variables (thousands for extraction problems over large e-graphs),
-    /// so descending by recursion would overflow thread stacks. Each open
-    /// node holds only its parent's trail mark and its own decision:
-    /// popping it undoes the trail back to the parent's bounds and applies
-    /// the decision, so children pop in the original recursive order.
-    fn branch(&mut self) {
+    /// nodes, returning the proven lower bound (see [`Solution::bound`]).
+    /// The search tree's depth scales with the number of integral variables
+    /// (thousands for extraction problems over large e-graphs), so
+    /// descending by recursion would overflow thread stacks. Each open node
+    /// holds only its parent's trail mark and its own decision: popping it
+    /// undoes the trail back to the parent's bounds and applies the
+    /// decision, so children pop in the original recursive order.
+    fn branch(&mut self) -> f64 {
         let mut stack = vec![Frame {
             mark: 0,
             scalars: self.scalars,
             decision: None,
         }];
         while let Some(frame) = stack.pop() {
-            if self.limit.is_some() {
-                break;
-            }
             self.undo_to(frame.mark);
             self.scalars = frame.scalars;
-            self.expand(frame.decision, &mut stack);
+            if !self.expand(frame.decision, &mut stack) {
+                // A limit stopped the search with this node and every
+                // stacked one unexplored; each lies within its parent's
+                // bounds, so the parent's lower bound holds for it.
+                return (stack.iter().chain([&frame]))
+                    .map(|open| open.scalars.lower_bound())
+                    .fold(self.best_objective, f64::min);
+            }
         }
+        self.best_objective
     }
 
     /// Processes one branch-and-bound node, pushing its children onto the
     /// worklist (in reverse, so they pop in the original recursive order).
-    fn expand(&mut self, decision: Option<(usize, f64, f64)>, stack: &mut Vec<Frame>) {
+    /// Returns false, leaving the node unexplored, when a limit is hit.
+    fn expand(&mut self, decision: Option<(usize, f64, f64)>, stack: &mut Vec<Frame>) -> bool {
         self.nodes += 1;
         if self.out_of_budget() {
-            return;
+            return false;
         }
         if let Some((i, lo, hi)) = decision {
             if lo != self.lo[i] {
@@ -1204,17 +1488,13 @@ impl<'a> Search<'a> {
             }
         }
         if !self.propagate() {
-            for g in self.dirty.drain(..) {
-                self.groups[g].dirty = false;
-            }
-            return;
+            return true;
         }
-        self.settle_groups();
         #[cfg(test)]
         self.assert_derived_fresh();
         let tol = self.tol;
-        if self.lower_bound() >= self.best_objective - tol {
-            return;
+        if self.scalars.lower_bound() >= self.best_objective - tol {
+            return true;
         }
 
         // If the cheapest completion of the remaining freedom is feasible,
@@ -1226,73 +1506,70 @@ impl<'a> Search<'a> {
             if obj < self.best_objective - tol {
                 self.offer(completion, obj);
             }
-            return;
+            return true;
         }
 
         // Pick a branching variable guided by the violated constraints.
-        match self.pick_branch_var() {
-            None => {
-                // All integral variables fixed: complete the continuous
-                // variables at their propagated lower bounds and check.
-                let mut values = self.lo.clone();
-                for (i, value) in values.iter_mut().enumerate() {
-                    if self.integral[i] {
-                        *value = value.round();
-                    }
-                }
-                if self.problem.is_feasible(&values, tol * 10.0) {
-                    let obj = self.problem.objective_value(&values);
-                    if obj < self.best_objective - tol {
-                        self.offer(values, obj);
-                    }
+        let Some(i) = self.pick_branch_var() else {
+            // All integral variables fixed: complete the continuous
+            // variables at their propagated lower bounds and check.
+            let mut values = self.lo.clone();
+            for (i, value) in values.iter_mut().enumerate() {
+                if self.integral[i] {
+                    *value = value.round();
                 }
             }
-            Some(i) => {
-                let child = |decision| Frame {
-                    mark: self.trail.len(),
-                    scalars: self.scalars,
-                    decision: Some(decision),
-                };
-                // Enumerate candidate values for the branching variable,
-                // trying the hinted value first, then the objective-cheaper
-                // bound.
-                let lo_i = self.lo[i];
-                let hi_i = self.hi[i];
-                // For wide integer domains split at the midpoint rather
-                // than enumerating every value: [lo, mid] is explored first,
-                // then [mid+1, hi].
-                if hi_i - lo_i > 1.5 {
-                    let mid = ((lo_i + hi_i) / 2.0).floor();
-                    stack.push(child((i, mid + 1.0, hi_i)));
-                    stack.push(child((i, lo_i, mid)));
-                    return;
+            if self.problem.is_feasible(&values, tol * 10.0) {
+                let obj = self.problem.objective_value(&values);
+                if obj < self.best_objective - tol {
+                    self.offer(values, obj);
                 }
-                let mut candidates: Vec<f64> = vec![];
-                if let Some(&hv) = self.hint.and_then(|h| h.get(i)) {
-                    let hv = hv.round();
-                    if hv >= lo_i - tol && hv <= hi_i + tol {
-                        candidates.push(hv);
-                    }
-                }
-                let cheap_first = if self.problem.objective()[i] >= 0.0 {
-                    [lo_i, hi_i]
-                } else {
-                    [hi_i, lo_i]
-                };
-                for v in cheap_first {
-                    let v = v.round();
-                    if !candidates.iter().any(|&c| (c - v).abs() < 0.5) {
-                        candidates.push(v);
-                    }
-                }
-                for v in candidates.into_iter().rev() {
-                    if v < lo_i - tol || v > hi_i + tol {
-                        continue;
-                    }
-                    stack.push(child((i, v, v)));
-                }
+            }
+            return true;
+        };
+        let child = |decision| Frame {
+            mark: self.trail.len(),
+            scalars: self.scalars,
+            decision: Some(decision),
+        };
+        // Enumerate candidate values for the branching variable, trying the
+        // hinted value first, then the objective-cheaper bound.
+        let lo_i = self.lo[i];
+        let hi_i = self.hi[i];
+        // For wide integer domains split at the midpoint rather than
+        // enumerating every value: [lo, mid] is explored first, then
+        // [mid+1, hi].
+        if hi_i - lo_i > 1.5 {
+            let mid = ((lo_i + hi_i) / 2.0).floor();
+            stack.push(child((i, mid + 1.0, hi_i)));
+            stack.push(child((i, lo_i, mid)));
+            return true;
+        }
+        let mut candidates: Vec<f64> = vec![];
+        if let Some(&hv) = self.hint.and_then(|h| h.get(i)) {
+            let hv = hv.round();
+            if hv >= lo_i - tol && hv <= hi_i + tol {
+                candidates.push(hv);
             }
         }
+        let cheap_first = if self.problem.objective()[i] >= 0.0 {
+            [lo_i, hi_i]
+        } else {
+            [hi_i, lo_i]
+        };
+        for v in cheap_first {
+            let v = v.round();
+            if !candidates.iter().any(|&c| (c - v).abs() < 0.5) {
+                candidates.push(v);
+            }
+        }
+        for v in candidates.into_iter().rev() {
+            if v < lo_i - tol || v > hi_i + tol {
+                continue;
+            }
+            stack.push(child((i, v, v)));
+        }
+        true
     }
 }
 
@@ -1487,47 +1764,103 @@ mod tests {
 
     #[test]
     fn incremental_state_matches_a_fresh_rebuild_at_every_node() {
-        // A layered selection problem large enough for deep trees, plus a
-        // wide integer and a continuous variable; `expand` checks the kept
-        // activities, completion, violated set, bound and cover charges
-        // against a recomputation at every node under `cfg(test)`.
-        let mut seed = 7u64;
-        let mut rand = |n: u64| {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (seed >> 33) % n
-        };
-        let mut p = Problem::new();
-        let layers: Vec<Vec<VarId>> = (0..6)
-            .map(|_| {
-                (0..4)
-                    .map(|_| p.add_binary(rand(100) as f64 / 10.0))
-                    .collect()
-            })
-            .collect();
-        p.add_constraint(layers[0].iter().map(|&v| (v, 1.0)).collect(), Cmp::Eq, 1.0);
-        for l in 0..layers.len() - 1 {
-            for &v in &layers[l] {
-                for next in &layers[l + 1..] {
-                    if rand(2) == 0 {
-                        let mut terms = vec![(v, 1.0)];
-                        terms.extend(next.iter().map(|&u| (u, -1.0)));
-                        p.add_constraint(terms, Cmp::Le, 0.0);
+        // Layered selection problems large enough for deep trees, plus a
+        // row that partially overlaps two groups, a wide integer and a
+        // continuous variable; `expand` checks the kept activities,
+        // completion, violated set, bound, group counts, rows in force,
+        // cursors and charges against a recomputation at every node under
+        // `cfg(test)`.
+        let mut nodes = 0;
+        for mut seed in 0..12u64 {
+            let mut rand = |n: u64| {
+                seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (seed >> 33) % n
+            };
+            let mut p = Problem::new();
+            let layers: Vec<Vec<VarId>> = (0..6)
+                .map(|_| {
+                    (0..4)
+                        .map(|_| p.add_binary(rand(100) as f64 / 10.0))
+                        .collect()
+                })
+                .collect();
+            p.add_constraint(layers[0].iter().map(|&v| (v, 1.0)).collect(), Cmp::Eq, 1.0);
+            for l in 0..layers.len() - 1 {
+                for &v in &layers[l] {
+                    for next in &layers[l + 1..] {
+                        if rand(2) == 0 {
+                            let mut terms = vec![(v, 1.0)];
+                            terms.extend(next.iter().map(|&u| (u, -1.0)));
+                            p.add_constraint(terms, Cmp::Le, 0.0);
+                        }
                     }
                 }
             }
+            p.add_constraint(vec![(layers[2][0], 1.0), (layers[3][1], 1.0)], Cmp::Ge, 1.0);
+            let k = p.add_integer(0, 9, 0.5);
+            let t = p.add_continuous(0.0, 4.0, 0.0);
+            p.add_constraint(vec![(k, 1.0), (layers[5][0], -3.0)], Cmp::Ge, 1.0);
+            p.add_constraint(vec![(t, 1.0), (k, -0.5)], Cmp::Ge, 0.0);
+            let plain = Solver::default().solve(&p);
+            assert_eq!(plain.status, Status::Optimal);
+            nodes += plain.nodes_explored;
+            let hint: Vec<f64> = (0..p.num_vars()).map(|_| rand(2) as f64).collect();
+            let hinted = Solver::default().solve_with_hint(&p, &hint);
+            assert!((plain.objective - hinted.objective).abs() < 1e-9);
         }
+        assert!(nodes > 100, "{nodes} nodes");
+    }
+
+    #[test]
+    fn grouped_and_generic_rows_share_one_search() {
+        // Root class {r1, r2} (an `==` group), classes A = {a1, a2} and
+        // B = {b1, b2} behind implications, a `>= 1` row over {a2, b2} that
+        // partially overlaps both groups, a wide integer k and a continuous
+        // t. Selecting a1 needs k >= 5 while t <= 2 allows k <= 4, so a1 is
+        // out; b1 needs k >= 2. Best: r2 + a2 + b1 with k = 2, cost 6.
+        let mut p = Problem::new();
+        let r1 = p.add_binary(4.0);
+        let r2 = p.add_binary(1.0);
+        let a1 = p.add_binary(2.0);
+        let a2 = p.add_binary(3.0);
+        let b1 = p.add_binary(1.0);
+        let b2 = p.add_binary(5.0);
         let k = p.add_integer(0, 9, 0.5);
-        let t = p.add_continuous(0.0, 4.0, 0.0);
-        p.add_constraint(vec![(k, 1.0), (layers[5][0], -3.0)], Cmp::Ge, 1.0);
+        let t = p.add_continuous(0.0, 2.0, 0.0);
+        p.add_constraint(vec![(r1, 1.0), (r2, 1.0)], Cmp::Eq, 1.0);
+        p.add_constraint(vec![(r1, 1.0), (a1, -1.0), (a2, -1.0)], Cmp::Le, 0.0);
+        p.add_constraint(vec![(r2, 1.0), (a1, -1.0), (a2, -1.0)], Cmp::Le, 0.0);
+        p.add_constraint(vec![(r2, 1.0), (b1, -1.0), (b2, -1.0)], Cmp::Le, 0.0);
+        p.add_constraint(vec![(a2, 1.0), (b2, 1.0)], Cmp::Ge, 1.0);
+        p.add_constraint(vec![(k, 1.0), (a1, -5.0)], Cmp::Ge, 0.0);
         p.add_constraint(vec![(t, 1.0), (k, -0.5)], Cmp::Ge, 0.0);
-        let plain = Solver::default().solve(&p);
-        assert_eq!(plain.status, Status::Optimal);
-        assert!(plain.nodes_explored > 10, "{} nodes", plain.nodes_explored);
-        let hint: Vec<f64> = (0..p.num_vars()).map(|_| rand(2) as f64).collect();
-        let hinted = Solver::default().solve_with_hint(&p, &hint);
-        assert!((plain.objective - hinted.objective).abs() < 1e-9);
+        p.add_constraint(vec![(k, 1.0), (b1, -2.0)], Cmp::Ge, 0.0);
+
+        let solver = Solver::default();
+        let mut accept = |_: &[f64]| true;
+        let search = Search::new(&p, &solver, None, &mut accept, Instant::now());
+        let generic: Vec<usize> = search.rows.iter().map(|row| row.index).collect();
+        assert_eq!(generic, [4, 5, 6, 7], "the overlap row stays generic");
+        assert_eq!(search.groups.len(), 3);
+        assert!(search.groups[0].exactly_one);
+        assert_eq!(search.groups[1].triggers, [(r1.0, 1), (r2.0, 2)]);
+
+        // `expand` checks the group counts, rows in force, violated set and
+        // cursors against a recomputation at every node.
+        for hint in [None, Some(vec![1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 5.0, 2.0])] {
+            let sol = solver.solve_checked(&p, hint.as_deref(), &mut |_| true);
+            assert_eq!(sol.status, Status::Optimal);
+            assert!((sol.objective - 6.0).abs() < 1e-9, "{}", sol.objective);
+            assert_eq!(sol.bound, sol.objective);
+            assert_eq!(sol.presolve_fixed, 1, "t and k rule out a1 at the root");
+            assert!(sol.nodes_explored > 1, "the search branches");
+            for (var, value) in [(r2, 1.0), (a2, 1.0), (b1, 1.0), (k, 2.0)] {
+                assert_eq!(sol.value(var), value);
+            }
+            assert!(sol.value(t) >= 1.0 - 1e-9);
+        }
     }
 
     #[test]

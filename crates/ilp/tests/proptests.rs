@@ -189,9 +189,14 @@ proptest! {
     /// On extraction-shaped problems with an incumbent check, the solver
     /// finds the optimum over the feasible *accepted* assignments, reports
     /// `Optimal` exactly when it rejected nothing, and returns an accepted
-    /// assignment.
+    /// assignment. Its proven bound equals the objective when the search
+    /// finishes, and under a small node limit still satisfies
+    /// `bound <= optimum <= objective`.
     #[test]
-    fn checked_solver_matches_brute_force_on_selection_problems(s in selection_strategy()) {
+    fn checked_solver_matches_brute_force_on_selection_problems(
+        s in selection_strategy(),
+        node_limit in 1usize..8,
+    ) {
         let prob = build_selection(&s);
         let n = s.costs.len();
         let mut feasible = false;
@@ -208,6 +213,14 @@ proptest! {
         }
         let sol = Solver::default().solve_checked(&prob, Some(&s.hint), &mut |v| accepted(&s, v));
         prop_assert_eq!(sol.limit, None);
+        prop_assert_eq!(sol.bound, sol.objective);
+        let limited = Solver { node_limit, ..Solver::default() }
+            .solve_checked(&prob, Some(&s.hint), &mut |v| accepted(&s, v));
+        let optimum = reference.unwrap_or(f64::INFINITY);
+        prop_assert!(limited.bound <= optimum + 1e-6,
+            "bound {} above the optimum {}", limited.bound, optimum);
+        prop_assert!(optimum <= limited.objective + 1e-6,
+            "objective {} below the optimum {}", limited.objective, optimum);
         match reference {
             None => {
                 prop_assert!(!sol.has_solution());
