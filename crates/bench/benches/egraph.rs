@@ -113,7 +113,7 @@ fn bench_machine_vs_naive_on_models(c: &mut Criterion) {
                 .map(|r| (r.searcher.program(), &[] as &[_]))
                 .collect();
             b.iter(|| {
-                let total: usize = tensat_egraph::search_all(&queries, &eg, 0, 4)
+                let total: usize = tensat_egraph::search_all(&queries, &eg, 4)
                     .iter()
                     .flat_map(|ms| ms.iter().map(|m| m.substs.len()))
                     .sum();

@@ -175,7 +175,7 @@ fn main() {
             (
                 "parallel4",
                 Box::new(|| {
-                    tensat_egraph::search_all(&queries, &eg, 0, 4)
+                    tensat_egraph::search_all(&queries, &eg, 4)
                         .iter()
                         .map(|ms| count(ms))
                         .sum()

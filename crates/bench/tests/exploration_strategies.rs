@@ -92,7 +92,7 @@ fn saturate_config(node_limit: usize) -> ExplorationConfig {
 /// e-graph — the strongest observable equality short of dumping storage.
 fn match_sets(eg: &TensorEGraph, rules: &[TensorRewrite]) -> Vec<Vec<SearchMatches>> {
     let queries: Vec<_> = rules.iter().map(|rw| rw.searcher_query()).collect();
-    search_all(&queries, eg, 0, 1)
+    search_all(&queries, eg, 1)
 }
 
 /// Runs the legacy monolith and the seamed `Saturate` strategy from the

@@ -166,7 +166,7 @@ proptest! {
         // (3) Parallel guarded search is bit-identical to sequential.
         if let Some(program) = rule.guarded_program() {
             prop_assert_eq!(
-                search_all(&[program.query()], eg, 0, n_threads),
+                search_all(&[program.query()], eg, n_threads),
                 vec![guarded],
                 "model {} rule {}: parallel ({} threads) diverged", name, &rule.name, n_threads
             );

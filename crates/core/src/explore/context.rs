@@ -205,7 +205,7 @@ impl<'a> ExplorationContext<'a> {
                 queries.extend(self.multi_guarded.iter().map(|g| g.query()));
             }
         }
-        let mut single_matches = search_all(&queries, egraph, 0, config.search_threads);
+        let mut single_matches = search_all(&queries, egraph, config.search_threads);
         let multi_flat: Vec<Vec<(Id, Subst)>> = single_matches
             .split_off(self.single_rules.len())
             .iter()
@@ -288,7 +288,7 @@ impl<'a> ExplorationContext<'a> {
         if include_multi {
             queries.extend(self.multi_guarded.iter().map(|g| g.query()));
         }
-        let mut single = search_all(&queries, egraph, 0, self.config.search_threads);
+        let mut single = search_all(&queries, egraph, self.config.search_threads);
         let multi = single.split_off(self.single_rules.len());
         stats.search_time += search_start.elapsed();
         (single, multi)

@@ -105,7 +105,7 @@ pub fn explore_monolithic(
                 queries.extend(multi_guarded.iter().map(|g| g.query()));
             }
         }
-        let mut single_matches = search_all(&queries, egraph, 0, config.search_threads);
+        let mut single_matches = search_all(&queries, egraph, config.search_threads);
         let multi_matches: Vec<_> = if do_multi {
             single_matches.split_off(single_rules.len())
         } else {

@@ -189,7 +189,7 @@ impl Default for ExplorationConfig {
             time_limit: defaults::TIME_LIMIT,
             cycle_filter: CycleFilter::Efficient,
             search_threads: default_search_threads(),
-            apply_threads: tensat_egraph::apply_threads_from_env(),
+            apply_threads: apply_threads_from_env(),
             mode: ExplorationMode::from_env().unwrap_or(ExplorationMode::Saturate),
             cost_model: CostModel::default(),
             guided: GuidedConfig::default(),
@@ -210,8 +210,30 @@ impl ExplorationConfig {
 /// variable when set to a positive integer, otherwise the machine's
 /// available parallelism (falling back to 1 if that cannot be determined).
 pub fn default_search_threads() -> usize {
-    tensat_egraph::search_threads_from_env()
+    search_threads_from_env()
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Reads the `TENSAT_SEARCH_THREADS` environment variable: the number of
+/// threads the e-matching search phase should use. Returns `None` when the
+/// variable is unset or does not parse to a positive integer. Read
+/// uncached, like [`ExplorationMode::from_env`], so CI can force the
+/// parallel search path without code changes.
+pub fn search_threads_from_env() -> Option<usize> {
+    parse_thread_count(&std::env::var("TENSAT_SEARCH_THREADS").ok()?)
+}
+
+/// Reads the `TENSAT_APPLY_THREADS` environment variable: the number of
+/// threads the staged apply phase should use. Returns `None` when the
+/// variable is unset or does not parse to a positive integer, in which
+/// case the apply phase follows the search thread setting
+/// ([`ExplorationConfig::resolved_apply_threads`]).
+pub fn apply_threads_from_env() -> Option<usize> {
+    parse_thread_count(&std::env::var("TENSAT_APPLY_THREADS").ok()?)
+}
+
+fn parse_thread_count(raw: &str) -> Option<usize> {
+    raw.trim().parse().ok().filter(|&n| n >= 1)
 }
 
 /// Statistics of one exploration run.
@@ -459,6 +481,19 @@ mod tests {
         let root = eg.add_expr(&expr);
         eg.rebuild();
         (eg, root)
+    }
+
+    #[test]
+    fn thread_count_env_parsing() {
+        // Exercise the parser (shared by TENSAT_SEARCH_THREADS and
+        // TENSAT_APPLY_THREADS) directly rather than via `set_var`: tests
+        // run concurrently, and mutating the environment would race with
+        // other tests reading it.
+        assert_eq!(parse_thread_count("4"), Some(4));
+        assert_eq!(parse_thread_count(" 16\n"), Some(16));
+        assert_eq!(parse_thread_count("0"), None, "0 threads is rejected");
+        assert_eq!(parse_thread_count("auto"), None);
+        assert_eq!(parse_thread_count(""), None);
     }
 
     #[test]

@@ -171,6 +171,14 @@ pub enum ExtractError {
     /// The selected nodes contain a cycle (only possible when both cycle
     /// filtering and the ILP cycle constraints are disabled).
     CyclicSelection,
+    /// The input graph is not well-typed, so there is nothing to optimize:
+    /// shape inference ([`tensat_ir::infer_recexpr`]) rejects `node`.
+    InvalidInput {
+        /// The first ill-typed node of the input expression.
+        node: Id,
+        /// Why shape inference rejected it.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for ExtractError {
@@ -179,6 +187,9 @@ impl std::fmt::Display for ExtractError {
             ExtractError::NoFiniteTerm => write!(f, "no finite-cost term represented by the root"),
             ExtractError::Infeasible => write!(f, "ILP extraction is infeasible"),
             ExtractError::CyclicSelection => write!(f, "selected e-nodes form a cycle"),
+            ExtractError::InvalidInput { node, reason } => {
+                write!(f, "input node {node} is ill-typed: {reason}")
+            }
         }
     }
 }
@@ -527,22 +538,7 @@ fn extract_ilp_monolithic(
     };
     let hint = greedy.as_ref().map(|greedy| {
         let mut values = vec![0.0; problem.num_vars()];
-        // Map the greedy expression's nodes back to (class, canonical node)
-        // pairs: children in the expression are expression-local ids, so
-        // translate them to e-class ids bottom-up first.
-        let mut selected: std::collections::HashSet<(Id, TensorLang)> = Default::default();
-        let mut expr_to_class: Vec<Id> = Vec::with_capacity(greedy.expr.len());
-        for (_, node) in greedy.expr.iter() {
-            let mapped = node.map_children(|c| expr_to_class[usize::from(c)]);
-            match egraph.lookup(&mapped) {
-                Some(class) => {
-                    let class = egraph.find(class);
-                    selected.insert((class, egraph.canonicalize(&mapped)));
-                    expr_to_class.push(class);
-                }
-                None => expr_to_class.push(egraph.find(root)),
-            }
-        }
+        let selected = greedy_selection(egraph, root, greedy);
         for (class, node, var) in &node_vars {
             if selected.contains(&(egraph.find(*class), egraph.canonicalize(node))) {
                 values[var.0] = 1.0;
@@ -590,18 +586,7 @@ fn extract_ilp_monolithic(
     let choice = selection(&solution.values).ok_or(ExtractError::Infeasible)?;
     let expr = build_selection(egraph, root, &choice)?;
     let mut outcome = ExtractionOutcome::measure(expr, model, start.elapsed());
-    // The solver is an any-time procedure: if it hit its budget before
-    // re-discovering the greedy incumbent (e.g. the warm start could not be
-    // translated into a feasible assignment), keep whichever graph is
-    // cheaper so ILP extraction never regresses below greedy.
-    if let Some(greedy) = greedy {
-        if greedy.cost.total_order(&outcome.cost) == Ordering::Less {
-            outcome.expr = greedy.expr;
-            outcome.cost = greedy.cost;
-            outcome.dag_cost = greedy.dag_cost;
-            outcome.tree_cost = greedy.tree_cost;
-        }
-    }
+    keep_cheaper_greedy(&mut outcome, greedy);
     outcome.ilp = Some(stats);
     Ok(outcome)
 }
@@ -641,26 +626,14 @@ fn extract_ilp_reduced(
     rp.reduce(greedy.as_ref().map(|g| g.dag_cost))?;
     let n = rp.candidates.len();
 
-    // Map the greedy expression back to one candidate per class (the same
-    // canonical-node lookup as the monolithic path); when the greedy pick
-    // was dominance-pruned, chase `rep` to the sibling that dominated it —
-    // the dominator's needs are a subset of the pruned pick's, which the
-    // greedy solution satisfies, so the repaired hint stays closed.
+    // Map the greedy expression back to one candidate per class; when the
+    // greedy pick was dominance-pruned, chase `rep` to the sibling that
+    // dominated it — the dominator's needs are a subset of the pruned
+    // pick's, which the greedy solution satisfies, so the repaired hint
+    // stays closed.
     let mut hint_choice: Vec<Option<usize>> = vec![None; n];
     if let Some(greedy) = &greedy {
-        let mut selected: HashSet<(Id, TensorLang)> = Default::default();
-        let mut expr_to_class: Vec<Id> = Vec::with_capacity(greedy.expr.len());
-        for (_, node) in greedy.expr.iter() {
-            let mapped = node.map_children(|c| expr_to_class[usize::from(c)]);
-            match egraph.lookup(&mapped) {
-                Some(class) => {
-                    let class = egraph.find(class);
-                    selected.insert((class, egraph.canonicalize(&mapped)));
-                    expr_to_class.push(class);
-                }
-                None => expr_to_class.push(root),
-            }
-        }
+        let selected = greedy_selection(egraph, root, greedy);
         for (i, hint) in hint_choice.iter_mut().enumerate() {
             if !rp.reachable[i] {
                 continue;
@@ -841,6 +814,40 @@ fn extract_ilp_reduced(
     // Stitch: fixed selections plus the per-component optima.
     let expr = build_selection(egraph, root, &stitch(&choice))?;
     let mut outcome = ExtractionOutcome::measure(expr, model, start.elapsed());
+    keep_cheaper_greedy(&mut outcome, greedy);
+    outcome.ilp = Some(stats);
+    Ok(outcome)
+}
+
+/// The greedy warm start of both ILP encodings as `(class, canonical
+/// e-node)` pairs. Children in the greedy expression are expression-local
+/// ids, so they are translated to e-class ids bottom-up first.
+fn greedy_selection(
+    egraph: &TensorEGraph,
+    root: Id,
+    greedy: &ExtractionOutcome,
+) -> HashSet<(Id, TensorLang)> {
+    let mut selected = HashSet::new();
+    let mut expr_to_class: Vec<Id> = Vec::with_capacity(greedy.expr.len());
+    for (_, node) in greedy.expr.iter() {
+        let mapped = node.map_children(|c| expr_to_class[usize::from(c)]);
+        match egraph.lookup(&mapped) {
+            Some(class) => {
+                let class = egraph.find(class);
+                selected.insert((class, egraph.canonicalize(&mapped)));
+                expr_to_class.push(class);
+            }
+            None => expr_to_class.push(egraph.find(root)),
+        }
+    }
+    selected
+}
+
+/// The solver is an any-time procedure: if it hit its budget before
+/// re-discovering the greedy incumbent (e.g. the warm start could not be
+/// translated into a feasible assignment), keep whichever graph is cheaper
+/// so ILP extraction never regresses below greedy.
+fn keep_cheaper_greedy(outcome: &mut ExtractionOutcome, greedy: Option<ExtractionOutcome>) {
     if let Some(greedy) = greedy {
         if greedy.cost.total_order(&outcome.cost) == Ordering::Less {
             outcome.expr = greedy.expr;
@@ -849,8 +856,6 @@ fn extract_ilp_reduced(
             outcome.tree_cost = greedy.tree_cost;
         }
     }
-    outcome.ilp = Some(stats);
-    Ok(outcome)
 }
 
 /// The incumbent check of both ILP encodings: the selection builds into an

@@ -40,9 +40,9 @@ pub mod optimizer;
 
 pub use cycles::{find_cycles, remove_all_cycles, would_create_cycle, DescendantsMap};
 pub use explore::{
-    default_search_threads, explore, explore_with, CycleFilter, ExplorationConfig,
-    ExplorationContext, ExplorationMode, ExplorationStats, ExplorationStrategy, Guided,
-    GuidedConfig, Saturate, TasoBacktracking, TasoConfig,
+    apply_threads_from_env, default_search_threads, explore, explore_with, search_threads_from_env,
+    CycleFilter, ExplorationConfig, ExplorationContext, ExplorationMode, ExplorationStats,
+    ExplorationStrategy, Guided, GuidedConfig, Saturate, TasoBacktracking, TasoConfig,
 };
 pub use extract::{
     extract_greedy, extract_greedy_dag, extract_ilp, DagCost, ExtractError, ExtractionOutcome,

@@ -8,8 +8,10 @@ use crate::extract::{
     ExtractError, ExtractionStrategy, GreedyDag, IlpConfig, IlpExtraction, IlpStats, TreeGreedy,
 };
 use std::time::Duration;
-use tensat_egraph::RecExpr;
-use tensat_ir::{Cost, CostModel, TensorAnalysis, TensorEGraph, TensorLang};
+use tensat_egraph::{Id, RecExpr};
+use tensat_ir::{
+    infer_recexpr, Cost, CostModel, TensorAnalysis, TensorData, TensorEGraph, TensorLang,
+};
 use tensat_rules::{multi_rules, single_rules, MultiPatternRule, TensorRewrite};
 
 /// Whether `TENSAT_VERIFY_RULES=1` turns on static rule verification at
@@ -321,12 +323,24 @@ impl Optimizer {
     ///
     /// # Errors
     ///
-    /// Returns an [`ExtractError`] if extraction cannot produce a valid
-    /// graph (e.g. the ILP is infeasible under an exhausted time budget).
+    /// Returns [`ExtractError::InvalidInput`] for the first node of an
+    /// ill-typed input graph (checked before anything is explored), and
+    /// another [`ExtractError`] if extraction cannot produce a valid graph
+    /// (e.g. the ILP is infeasible under an exhausted time budget).
     pub fn optimize(
         &self,
         graph: &RecExpr<TensorLang>,
     ) -> Result<OptimizationResult, ExtractError> {
+        let first_invalid = infer_recexpr(graph)
+            .into_iter()
+            .enumerate()
+            .find_map(|(i, data)| match data {
+                TensorData::Invalid(reason) => Some((Id::from(i), reason)),
+                _ => None,
+            });
+        if let Some((node, reason)) = first_invalid {
+            return Err(ExtractError::InvalidInput { node, reason });
+        }
         let model = &self.config.cost_model;
         let original_composite = model.graph_cost_composite(graph);
         let original_cost = original_composite.latency;
@@ -400,6 +414,57 @@ mod tests {
         let m2 = g.matmul_act(Activation::Relu, x, w2);
         let m3 = g.matmul_act(Activation::Relu, x, w3);
         g.finish(&[m1, m2, m3])
+    }
+
+    /// Ill-typed input is rejected up front with the first offending node,
+    /// instead of "optimizing" to an infinite or zero cost. Greedy-DAG is
+    /// the extractor that used to return `Ok((inf, inf))` for the matmul
+    /// probe and `Ok((0.0, 0.0))` for the reshape probe.
+    #[test]
+    fn ill_typed_input_is_rejected_with_the_first_invalid_node() {
+        type Probe = (
+            &'static str,
+            fn(&mut GraphBuilder, Id) -> Id,
+            fn(&TensorLang) -> bool,
+        );
+        let probes: [Probe; 3] = [
+            (
+                "matmul",
+                |g, x| {
+                    let w = g.weight("w", &[4, 8]);
+                    g.matmul(x, w)
+                },
+                |n| matches!(n, TensorLang::Matmul(_)),
+            ),
+            (
+                "reshape",
+                |g, x| g.reshape(x, &[5, 7]),
+                |n| matches!(n, TensorLang::Reshape(_)),
+            ),
+            (
+                "permutation",
+                |g, x| g.transpose(x, &[0, 0]),
+                |n| matches!(n, TensorLang::Transpose(_)),
+            ),
+        ];
+        let optimizer = Optimizer::new(OptimizerConfig {
+            extraction: ExtractionMode::GreedyDag,
+            ..Default::default()
+        });
+        for (what, build, is_bad) in probes {
+            let mut g = GraphBuilder::new();
+            let x = g.input("x", &[4, 8]);
+            let bad = build(&mut g, x);
+            let out = g.relu(bad);
+            let graph = g.finish(&[out]);
+            match optimizer.optimize(&graph) {
+                Err(ExtractError::InvalidInput { node, reason }) => {
+                    assert!(is_bad(&graph[node]), "{what}: wrong node {node} reported");
+                    assert!(!reason.is_empty(), "{what}: empty reason");
+                }
+                other => panic!("{what}: expected InvalidInput, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Pinning test for the environment-variable overrides: `TENSAT_EXTRACTOR`
-//! and `TENSAT_EXPLORER` are parsed *uncached* on every call, by design.
+//! Pinning test for the environment-variable overrides: `TENSAT_EXTRACTOR`,
+//! `TENSAT_EXPLORER`, `TENSAT_SEARCH_THREADS` and `TENSAT_APPLY_THREADS`
+//! are parsed *uncached* on every call, by design.
 //!
 //! Caching (e.g. a `OnceLock`) would read marginally faster, but these
 //! overrides exist for harnesses and tests that vary the strategy *within
@@ -14,8 +15,10 @@
 //! process-global and the libtest harness runs `#[test]` functions
 //! concurrently — splitting these assertions across tests would race.
 
-use tensat_core::{ExplorationMode, ExtractionMode};
-use tensat_egraph::search_threads_from_env;
+use tensat_core::{
+    apply_threads_from_env, search_threads_from_env, ExplorationConfig, ExplorationMode,
+    ExtractionMode,
+};
 
 #[test]
 fn env_overrides_are_read_uncached() {
@@ -23,11 +26,14 @@ fn env_overrides_are_read_uncached() {
     std::env::remove_var("TENSAT_EXTRACTOR");
     std::env::remove_var("TENSAT_EXPLORER");
     std::env::remove_var("TENSAT_SEARCH_THREADS");
+    std::env::remove_var("TENSAT_APPLY_THREADS");
 
     // Unset → None.
     assert_eq!(ExtractionMode::from_env(), None);
     assert_eq!(ExplorationMode::from_env(), None);
     assert_eq!(search_threads_from_env(), None);
+    assert_eq!(apply_threads_from_env(), None);
+    assert_eq!(ExplorationConfig::default().apply_threads, None);
 
     // Set → parsed; a *second* call after mutation must observe the new
     // value (the uncached contract this test pins).
@@ -67,4 +73,23 @@ fn env_overrides_are_read_uncached() {
     assert_eq!(search_threads_from_env(), None);
     std::env::remove_var("TENSAT_SEARCH_THREADS");
     assert_eq!(search_threads_from_env(), None);
+
+    // The apply override parses the same way and feeds the exploration
+    // default; unset, the apply phase follows the search thread count.
+    std::env::set_var("TENSAT_APPLY_THREADS", "3");
+    assert_eq!(apply_threads_from_env(), Some(3));
+    let config = ExplorationConfig::default();
+    assert_eq!(config.apply_threads, Some(3));
+    assert_eq!(config.resolved_apply_threads(), 3);
+    std::env::set_var("TENSAT_APPLY_THREADS", " 1 ");
+    assert_eq!(apply_threads_from_env(), Some(1));
+    std::env::set_var("TENSAT_APPLY_THREADS", "0");
+    assert_eq!(apply_threads_from_env(), None);
+    std::env::set_var("TENSAT_SEARCH_THREADS", "2");
+    let config = ExplorationConfig::default();
+    assert_eq!((config.search_threads, config.apply_threads), (2, None));
+    assert_eq!(config.resolved_apply_threads(), 2);
+    std::env::remove_var("TENSAT_SEARCH_THREADS");
+    std::env::remove_var("TENSAT_APPLY_THREADS");
+    assert_eq!(apply_threads_from_env(), None);
 }

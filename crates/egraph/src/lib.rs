@@ -20,8 +20,7 @@
 //!   conditional rewrites. Patterns are compiled once into an abstract
 //!   e-matching machine ([`Program`], de Moura & Bjørner-style) and searched
 //!   through an operator index. One batch driver ([`search_all`]) searches
-//!   many compiled queries, optionally restricted to classes touched since
-//!   a watermark and optionally sharded across threads, with results
+//!   many compiled queries, optionally sharded across threads, with results
 //!   bit-identical to the sequential driver ([`search_one`]); the legacy
 //!   recursive matcher remains available as a differential-testing oracle
 //!   ([`Pattern::search_naive`]). Rules can push per-variable *analysis
@@ -82,7 +81,7 @@ pub use machine::{
 pub use pattern::{ENodeOrVar, Pattern, SearchMatches, Subst, Var};
 pub use recexpr::RecExpr;
 pub use rewrite::{stage_matches_parallel, ApplyLog, Condition, Rewrite, StagedApp};
-pub use runner::{apply_threads_from_env, search_threads_from_env, Iteration, Runner, StopReason};
+pub use runner::{Iteration, Runner, StopReason};
 pub use unionfind::UnionFind;
 
 /// A tiny arithmetic language exported solely so that doc examples across

@@ -399,21 +399,11 @@ impl<L: Language> Program<L> {
 
     /// The classes this program's search visits, in the deterministic order
     /// the sequential driver uses (ascending class id, restricted by the
-    /// operator index when the root is a concrete node), skipping classes
-    /// untouched since `watermark`.
-    fn candidate_classes<N: Analysis<L>>(&self, egraph: &EGraph<L, N>, watermark: u64) -> Vec<Id> {
+    /// operator index when the root is a concrete node).
+    fn candidate_classes<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<Id> {
         match self.root_op {
-            Some(op) => egraph
-                .classes_with_op(op)
-                .iter()
-                .copied()
-                .filter(|&id| egraph.last_touched(id) >= watermark)
-                .collect(),
-            None => egraph
-                .classes()
-                .filter(|class| egraph.last_touched(class.id) >= watermark)
-                .map(|class| class.id)
-                .collect(),
+            Some(op) => egraph.classes_with_op(op).to_vec(),
+            None => egraph.classes().map(|class| class.id).collect(),
         }
     }
 
@@ -550,14 +540,6 @@ pub const PARALLEL_SEARCH_SPAWN_THRESHOLD: usize = 2048;
 /// bit-identical to. It has no `Sync` bounds, so languages and analyses
 /// holding non-`Sync` data can still search.
 ///
-/// Classes untouched since `since` (a snapshot of [`EGraph::watermark`]
-/// taken on an earlier clean e-graph) are skipped; `0` searches every
-/// candidate class. Touch stamps propagate to transitive parents during
-/// [`EGraph::rebuild`], so the result is every match rooted in a touched
-/// class: a superset of the matches created since the snapshot. Matches in
-/// untouched classes are skipped but never lost, because the earlier
-/// search returned them.
-///
 /// # Panics
 ///
 /// Panics if the guard table does not match the program's
@@ -567,7 +549,6 @@ pub const PARALLEL_SEARCH_SPAWN_THRESHOLD: usize = 2048;
 pub fn search_one<L: Language, N: Analysis<L>>(
     query: SearchQuery<'_, L, N::Data>,
     egraph: &EGraph<L, N>,
-    since: u64,
 ) -> Vec<SearchMatches> {
     let (program, guards) = query;
     program.check_guard_table(guards.len());
@@ -578,7 +559,7 @@ pub fn search_one<L: Language, N: Analysis<L>>(
     let mut machine = Machine::default();
     let lookups = machine_lookups(egraph, &program.instructions);
     program
-        .candidate_classes(egraph, since)
+        .candidate_classes(egraph)
         .into_iter()
         .filter_map(|id| program.search_class(egraph, &mut machine, &lookups, guards, id))
         .collect()
@@ -586,8 +567,7 @@ pub fn search_one<L: Language, N: Analysis<L>>(
 
 /// Searches a batch of `(program, guard table)` queries over one e-graph,
 /// returning one match list per query, each bit-identical to
-/// [`search_one`] on that query. `since` restricts every query to classes
-/// touched since a watermark, as in [`search_one`].
+/// [`search_one`] on that query.
 ///
 /// With `n_threads > 1`, the candidate classes of all queries are sharded
 /// across scoped threads. Work items — contiguous chunks of each program's
@@ -610,7 +590,6 @@ pub fn search_one<L: Language, N: Analysis<L>>(
 pub fn search_all<L, N>(
     queries: &[SearchQuery<'_, L, N::Data>],
     egraph: &EGraph<L, N>,
-    since: u64,
     n_threads: usize,
 ) -> Vec<Vec<SearchMatches>>
 where
@@ -618,13 +597,7 @@ where
     N: Analysis<L> + Sync,
     N::Data: Sync,
 {
-    search_all_with_threshold(
-        queries,
-        egraph,
-        since,
-        n_threads,
-        PARALLEL_SEARCH_SPAWN_THRESHOLD,
-    )
+    search_all_with_threshold(queries, egraph, n_threads, PARALLEL_SEARCH_SPAWN_THRESHOLD)
 }
 
 /// [`search_all`] with an explicit spawn threshold in place of
@@ -635,7 +608,6 @@ where
 pub fn search_all_with_threshold<L, N>(
     queries: &[SearchQuery<'_, L, N::Data>],
     egraph: &EGraph<L, N>,
-    since: u64,
     n_threads: usize,
     spawn_threshold: usize,
 ) -> Vec<Vec<SearchMatches>>
@@ -647,7 +619,7 @@ where
     let sequential = || {
         queries
             .iter()
-            .map(|&query| search_one(query, egraph, since))
+            .map(|&query| search_one(query, egraph))
             .collect()
     };
     if n_threads <= 1 {
@@ -662,7 +634,7 @@ where
     );
     let candidates: Vec<Vec<Id>> = queries
         .iter()
-        .map(|(p, _)| p.candidate_classes(egraph, since))
+        .map(|(p, _)| p.candidate_classes(egraph))
         .collect();
     let total: usize = candidates.iter().map(Vec::len).sum();
 
@@ -951,7 +923,7 @@ mod tests {
         eg.add(Math::Mul([eg.find(two), two]));
         eg.rebuild();
         assert_eq!(
-            search_one((&program, &[]), &eg, 0).len(),
+            search_one((&program, &[]), &eg).len(),
             eg.number_of_classes()
         );
     }
@@ -1008,7 +980,7 @@ mod tests {
         let sequential = p.search(&eg);
         assert!(!sequential.is_empty());
         for threads in [1, 2, 3, 4, 8, 64, 1000] {
-            let parallel = search_all_with_threshold(&[(p.program(), &[])], &eg, 0, threads, 0);
+            let parallel = search_all_with_threshold(&[(p.program(), &[])], &eg, threads, 0);
             assert_eq!(parallel, vec![sequential.clone()], "thread count {threads}");
         }
     }
@@ -1040,7 +1012,7 @@ mod tests {
             (cold.program(), &[] as &[_]),
             (var_root.program(), &[] as &[_]),
         ];
-        let batch = search_all_with_threshold(&programs, &eg, 0, 4, 0);
+        let batch = search_all_with_threshold(&programs, &eg, 4, 0);
         assert_eq!(batch.len(), 3);
         assert_eq!(batch[0], hot.search(&eg));
         assert_eq!(batch[1], cold.search(&eg));
@@ -1141,10 +1113,10 @@ mod tests {
             })
             .collect();
         assert_eq!(expected.len(), 1);
-        assert_eq!(search_one(guarded.query(), &eg, 0), expected);
+        assert_eq!(search_one(guarded.query(), &eg), expected);
         // Parallel guarded search is bit-identical too.
         for threads in [1, 2, 4, 8] {
-            let parallel = search_all_with_threshold(&[guarded.query()], &eg, 0, threads, 0);
+            let parallel = search_all_with_threshold(&[guarded.query()], &eg, threads, 0);
             assert_eq!(parallel, vec![expected.clone()]);
         }
     }
@@ -1168,7 +1140,7 @@ mod tests {
         let guard: Guard<i64> = Guard::tags(1 << 1);
         assert!(guard.pred().is_none(), "kind-only guard carries no dyn fn");
         let guarded = GuardedProgram::compile(&pattern.ast, &[(Var::new("x"), guard)]);
-        let ms = search_one(guarded.query(), &eg, 0);
+        let ms = search_one(guarded.query(), &eg);
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].eclass, eg.find(kept));
     }
@@ -1186,7 +1158,7 @@ mod tests {
         let big = Guard::from_fn(|d: &i64| *d >= 3);
         let guarded =
             GuardedProgram::compile(&pattern.ast, &[(Var::new("x"), even), (Var::new("x"), big)]);
-        let ms = search_one(guarded.query(), &eg, 0);
+        let ms = search_one(guarded.query(), &eg);
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].substs[0][Var::new("x")], eg.find(four));
     }
@@ -1198,7 +1170,7 @@ mod tests {
         eg.add(sym("a"));
         eg.rebuild();
         let program = Program::compile_guarded(&mul_by_two().ast, &[Var::new("x")]);
-        let _ = search_one((&program, &[]), &eg, 0);
+        let _ = search_one((&program, &[]), &eg);
     }
 
     /// The clean check is a `debug_assert!`: the panic only exists in debug

@@ -258,7 +258,7 @@ impl<L: Language> Pattern<L> {
     /// searching a dirty e-graph silently returns stale or incomplete
     /// matches, so callers must [`EGraph::rebuild`] first.
     pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
-        search_one((self.program(), &[]), egraph, 0)
+        search_one((self.program(), &[]), egraph)
     }
 
     /// Reference implementation of [`Pattern::search`]: the legacy
@@ -581,47 +581,6 @@ mod tests {
         let b = eg.add(sym("b"));
         eg.union(a, b); // leaves the e-graph dirty
         let _ = mul_by_two_pattern().search(&eg);
-    }
-
-    /// Searching with a fresh watermark returns nothing; after a union deep
-    /// below a potential match root, the root class must be revisited even
-    /// though its own node list never changed (touch propagation).
-    #[test]
-    fn search_since_sees_matches_from_deep_changes() {
-        let mut eg: EGraph<Math, ()> = EGraph::new(());
-        let p = eg.add(sym("p"));
-        let two = eg.add(Math::Num(2));
-        let root = eg.add(Math::Mul([p, two]));
-        eg.rebuild();
-
-        // Pattern (* (+ ?x ?y) 2): no Add anywhere yet.
-        let mut ast = RecExpr::default();
-        let x = ast.add(ENodeOrVar::Var(Var::new("x")));
-        let y = ast.add(ENodeOrVar::Var(Var::new("y")));
-        let add = ast.add(ENodeOrVar::ENode(Math::Add([x, y])));
-        let two_p = ast.add(ENodeOrVar::ENode(Math::Num(2)));
-        ast.add(ENodeOrVar::ENode(Math::Mul([add, two_p])));
-        let pat = Pattern::new(ast);
-        assert!(pat.search(&eg).is_empty());
-
-        let watermark = eg.watermark();
-        assert!(
-            search_one((pat.program(), &[]), &eg, watermark).is_empty(),
-            "nothing touched since the watermark"
-        );
-
-        // Teach the e-graph p == (+ a b). The Mul class gains no node, but
-        // its child class does, so the Mul class counts as touched.
-        let a = eg.add(sym("a"));
-        let b = eg.add(sym("b"));
-        let sum = eg.add(Math::Add([a, b]));
-        eg.union(p, sum);
-        eg.rebuild();
-
-        let ms = search_one((pat.program(), &[]), &eg, watermark);
-        assert_eq!(ms.len(), 1);
-        assert_eq!(ms[0].eclass, eg.find(root));
-        assert_eq!(ms[0].substs[0][Var::new("x")], eg.find(a));
     }
 
     #[test]

@@ -115,12 +115,6 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
     /// late in the same iteration, now fires in the next iteration instead —
     /// the e-graph only grows, so the match is re-found and the saturation
     /// fixpoint is unchanged.
-    ///
-    /// Guards are also safe under watermark-based incremental search
-    /// ([`crate::Runner::with_incremental_search`]): they read only the
-    /// matched classes' analysis data, and any event that changes that data
-    /// (a union, directly or through congruence) touches those classes, so
-    /// a flipped guard re-surfaces the match.
     pub fn with_guards(mut self, guards: Vec<(Var, Guard<N::Data>)>) -> Self
     where
         N::Data: 'static,
@@ -157,21 +151,18 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
     /// guarded program when the rule carries guards (see
     /// [`Rewrite::with_guards`]).
     pub fn search(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
-        search_one(self.searcher_query(), egraph, 0)
+        search_one(self.searcher_query(), egraph)
     }
 
-    /// Applies the rewrite to the given matches, returning the number of
-    /// applications that changed the e-graph (i.e. caused a union).
-    pub fn apply(&self, egraph: &mut EGraph<L, N>, matches: &[SearchMatches]) -> usize {
-        self.apply_capped(egraph, matches, usize::MAX).0
-    }
-
-    /// Like [`Rewrite::apply`], but checks the e-graph's total node count
-    /// against `node_limit` before every application and stops as soon as
-    /// the limit is reached (the check is O(1)). Returns the number of
-    /// effective applications and whether the limit cut the loop short; a
-    /// single application can overshoot the limit by at most the applier
-    /// pattern's size.
+    /// Applies the rewrite to the given matches in place, checking the
+    /// e-graph's total node count against `node_limit` before every
+    /// application and stopping as soon as the limit is reached (the check
+    /// is O(1)). Returns the number of applications that changed the
+    /// e-graph (i.e. caused a union) and whether the limit cut the loop
+    /// short; a single application can overshoot the limit by at most the
+    /// applier pattern's size. This is the in-place oracle the staged path
+    /// ([`Rewrite::stage`] + [`EGraph::commit_log`]) is proven
+    /// bit-identical against.
     pub fn apply_capped(
         &self,
         egraph: &mut EGraph<L, N>,
@@ -196,13 +187,6 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
             }
         }
         (changed, false)
-    }
-
-    /// Searches and applies in one step, returning the number of effective
-    /// applications. Does not rebuild.
-    pub fn run(&self, egraph: &mut EGraph<L, N>) -> usize {
-        let matches = self.search(egraph);
-        self.apply(egraph, &matches)
     }
 
     /// Stages one application against a *read-only* e-graph: evaluates the
@@ -460,6 +444,12 @@ mod tests {
         Pattern::new(ast)
     }
 
+    /// One uncapped search-then-apply pass, without a rebuild.
+    fn run(rw: &Rewrite<Math, ()>, eg: &mut EGraph<Math, ()>) -> usize {
+        let matches = rw.search(eg);
+        rw.apply_capped(eg, &matches, usize::MAX).0
+    }
+
     #[test]
     fn unconditional_rewrite_fires() {
         let mut eg: EGraph<Math, ()> = EGraph::new(());
@@ -468,14 +458,14 @@ mod tests {
         let mul = eg.add(Math::Mul([a, two]));
         eg.rebuild();
         let rw: Rewrite<Math, ()> = Rewrite::new("mul2-to-shl", pat_mul_two(), pat_shl_one());
-        let n = rw.run(&mut eg);
+        let n = run(&rw, &mut eg);
         assert_eq!(n, 1);
         eg.rebuild();
         let one = eg.lookup(&Math::Num(1)).unwrap();
         let shl = eg.lookup(&Math::Shl([a, one])).unwrap();
         assert_eq!(eg.find(shl), eg.find(mul));
         // Running again changes nothing (already equal).
-        assert_eq!(rw.run(&mut eg), 0);
+        assert_eq!(run(&rw, &mut eg), 0);
     }
 
     #[test]
@@ -491,7 +481,7 @@ mod tests {
             pat_shl_one(),
             Arc::new(|_, _, _| false),
         );
-        assert_eq!(rw.run(&mut eg), 0);
+        assert_eq!(run(&rw, &mut eg), 0);
     }
 
     #[test]
